@@ -10,11 +10,12 @@ build:
 	$(GO) build ./...
 	$(GO) vet ./...
 
+# -timeout makes a hang fail with its package and test named.
 test:
-	$(GO) test ./...
+	$(GO) test -timeout 300s ./...
 
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 300s ./...
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .

@@ -21,16 +21,21 @@ import (
 //   - the owner drains ready slots into its own queue during its regular
 //     progress work, marking them free again.
 //
-// Slot states cycle free -> ready -> free; the cursor claim serializes
-// writers per slot, and the state word hands the slot between sender and
-// owner with release/acquire ordering.
+// Each slot's state word is lap-tagged, as in a Vyukov sequence cell
+// (internal/ldeque): for lap L = seq / slots the slot is free at 2L and
+// ready at 2L+1, and the drain frees it for the next lap by storing
+// 2(L+1). Two senders whose claims are a full ring apart therefore wait
+// for different values — the later one cannot mistake the earlier one's
+// free slot for its own and overwrite a descriptor not yet put. The
+// state word hands the slot between sender and owner with
+// release/acquire ordering.
 type mailbox struct {
 	ctx   *shmem.Ctx
 	codec task.Codec
 	slots int
 
 	writeAddr shmem.Addr // word: global write cursor (fetch-add by senders)
-	stateAddr shmem.Addr // slots words: slotFree / slotReady
+	stateAddr shmem.Addr // slots words: lap-tagged state (slotFree / slotReady)
 	dataAddr  shmem.Addr // slots * slotSize bytes
 
 	readCursor uint64 // owner-local
@@ -40,12 +45,11 @@ type mailbox struct {
 	sendTimeout time.Duration
 }
 
-const (
-	slotFree  = 0
-	slotReady = 1
+const defaultMailboxSlots = 256
 
-	defaultMailboxSlots = 256
-)
+// slotFree and slotReady are a slot's state word values for lap.
+func slotFree(lap uint64) uint64  { return 2 * lap }
+func slotReady(lap uint64) uint64 { return 2*lap + 1 }
 
 // newMailbox collectively allocates the inbox (same order on every PE).
 func newMailbox(ctx *shmem.Ctx, codec task.Codec, slots int, sendTimeout time.Duration) (*mailbox, error) {
@@ -84,7 +88,7 @@ func (m *mailbox) send(pe int, d task.Desc) error {
 	if err != nil {
 		return err
 	}
-	slot := int(seq % uint64(m.slots))
+	slot, lap := int(seq%uint64(m.slots)), seq/uint64(m.slots)
 	// Wait for the slot to drain if a full ring lap is outstanding.
 	deadline := time.Now().Add(m.sendTimeout)
 	for {
@@ -92,7 +96,7 @@ func (m *mailbox) send(pe int, d task.Desc) error {
 		if err != nil {
 			return err
 		}
-		if st == slotFree {
+		if st == slotFree(lap) {
 			break
 		}
 		if werr := m.ctx.Err(); werr != nil {
@@ -108,7 +112,7 @@ func (m *mailbox) send(pe int, d task.Desc) error {
 		return err
 	}
 	// The ready store is the release edge the owner's drain acquires.
-	return m.ctx.Store64(pe, m.slotState(slot), slotReady)
+	return m.ctx.Store64(pe, m.slotState(slot), slotReady(lap))
 }
 
 // drain moves every ready inbox task into the owner's queue via push,
@@ -117,12 +121,12 @@ func (m *mailbox) drain(push func(task.Desc) error) (int, error) {
 	me := m.ctx.Rank()
 	delivered := 0
 	for {
-		slot := int(m.readCursor % uint64(m.slots))
+		slot, lap := int(m.readCursor%uint64(m.slots)), m.readCursor/uint64(m.slots)
 		st, err := m.ctx.Load64(me, m.slotState(slot))
 		if err != nil {
 			return delivered, err
 		}
-		if st != slotReady {
+		if st != slotReady(lap) {
 			return delivered, nil
 		}
 		buf := make([]byte, m.codec.SlotSize())
@@ -136,7 +140,7 @@ func (m *mailbox) drain(push func(task.Desc) error) (int, error) {
 		if err := push(d); err != nil {
 			return delivered, err
 		}
-		if err := m.ctx.Store64(me, m.slotState(slot), slotFree); err != nil {
+		if err := m.ctx.Store64(me, m.slotState(slot), slotFree(lap+1)); err != nil {
 			return delivered, err
 		}
 		m.readCursor++

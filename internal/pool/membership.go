@@ -38,7 +38,13 @@ func (p *Pool) stepMembership() error {
 	if lv == nil || !lv.Elastic() {
 		return nil
 	}
-	if lv.MemberEpoch() == p.memberEpoch {
+	// Snapshot the epoch before reading any state. A transition that
+	// lands while this call runs (a peer beginning this rank's drain)
+	// then leaves the snapshot behind the live epoch, and the next
+	// iteration looks again; recording the epoch at the end instead would
+	// mark that transition handled without this rank ever seeing it.
+	epoch := lv.MemberEpoch()
+	if epoch == p.memberEpoch {
 		return nil
 	}
 	self := p.ctx.Rank()
@@ -71,9 +77,7 @@ func (p *Pool) stepMembership() error {
 		p.parked = false
 	}
 	p.reseatVictims(lv)
-	// Assigned after Complete* so a transition bumping the epoch again is
-	// not skipped: the next iteration re-reads whatever came after.
-	p.memberEpoch = lv.MemberEpoch()
+	p.memberEpoch = epoch
 	return nil
 }
 
@@ -160,21 +164,24 @@ func (p *Pool) forwardTask(d task.Desc) error {
 // term.Publish relies on) and the intra-PE ring. Executors keep running;
 // tasks already in their hands finish locally and any output they stage
 // afterwards is caught by the next flush (drain loop or stepParked).
+// Counts are published on every flush, not only when something was
+// staged: on a parked PE this is the only publish, and a task that
+// finished in an executor's hands without spawning stages nothing — its
+// execution must still reach the detector, or the global sums never
+// balance and the world never terminates.
 func (p *Pool) flushWorkerTier() error {
 	staged, outbox := p.exec.takeStaged()
-	if len(staged) > 0 || len(outbox) > 0 {
-		if err := p.publishCounts(); err != nil {
+	if err := p.publishCounts(); err != nil {
+		return err
+	}
+	for _, d := range staged {
+		if err := p.forwardTask(d); err != nil {
 			return err
 		}
-		for _, d := range staged {
-			if err := p.forwardTask(d); err != nil {
-				return err
-			}
-		}
-		for _, o := range outbox {
-			if err := p.sendStagedRemote(o); err != nil {
-				return err
-			}
+	}
+	for _, o := range outbox {
+		if err := p.sendStagedRemote(o); err != nil {
+			return err
 		}
 	}
 	for {

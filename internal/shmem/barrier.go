@@ -169,10 +169,21 @@ func (b *heapBarrier) wait() error {
 		return nil
 	}
 	deadline := time.Now().Add(b.timeout)
-	if sh, ok := b.w.transport.(*shmTransport); ok {
-		// Generation word is in the shared mapping: park on its futex
-		// instead of polling through the transport.
-		g, err := sh.waitBarrierGen(myGen, deadline, b.timeout, b.check)
+	if b.w.mem != nil {
+		// The generation word is in this process's address space (the
+		// shared mapping): wait on it directly, parking until the
+		// releaser's bump wakes us, instead of polling the transport.
+		g, err := b.w.waitWord(b.w.pes[0], int(barrierGenAddr/WordSize),
+			func(v uint64) bool { return v > myGen },
+			func(uint64) error {
+				if err := b.check(); err != nil {
+					return err
+				}
+				if time.Now().After(deadline) {
+					return fmt.Errorf("shmem: barrier expired after %v (peer process lost?): %w", b.timeout, ErrBarrierTimeout)
+				}
+				return nil
+			})
 		if err != nil {
 			return err
 		}

@@ -561,6 +561,18 @@ func (c *Ctx) Store64(pe int, addr Addr, val uint64) error {
 
 // --- Non-blocking one-sided operations ------------------------------------
 
+// checkNBI validates a non-blocking operation before it is injected. The
+// symmetric heap geometry is the same on every PE, so this PE's own heap
+// vouches for the target's: a bad rank or address fails here, at the
+// call, on every transport — instead of at delivery, where it could only
+// fail the whole world.
+func (c *Ctx) checkNBI(pe int, o *heapOp) error {
+	if pe < 0 || pe >= c.w.cfg.NumPEs {
+		return fmt.Errorf("shmem: target PE %d out of range [0, %d)", pe, c.w.cfg.NumPEs)
+	}
+	return c.self.check(o)
+}
+
 // Store64NBI injects an atomic store and returns immediately. Completion
 // is observed via Quiet (or Barrier). Self-targeted stores apply
 // immediately.
@@ -571,6 +583,9 @@ func (c *Ctx) Store64NBI(pe int, addr Addr, val uint64) error {
 func (c *Ctx) store64NBI(pe int, addr Addr, val uint64, span uint64) error {
 	if pe == c.rank {
 		return c.Store64(pe, addr, val)
+	}
+	if err := c.checkNBI(pe, &heapOp{op: OpStoreNBI, addr: addr}); err != nil {
+		return err
 	}
 	if err := c.peerCheck(OpStoreNBI, pe); err != nil {
 		return err
@@ -596,6 +611,9 @@ func (c *Ctx) Add64NBI(pe int, addr Addr, delta uint64) error {
 		_, err := c.FetchAdd64(pe, addr, delta)
 		return err
 	}
+	if err := c.checkNBI(pe, &heapOp{op: OpAddNBI, addr: addr}); err != nil {
+		return err
+	}
 	if err := c.peerCheck(OpAddNBI, pe); err != nil {
 		return err
 	}
@@ -607,6 +625,9 @@ func (c *Ctx) Add64NBI(pe int, addr Addr, delta uint64) error {
 func (c *Ctx) PutNBI(pe int, addr Addr, src []byte) error {
 	if pe == c.rank {
 		return c.Put(pe, addr, src)
+	}
+	if err := c.checkNBI(pe, &heapOp{op: OpPutNBI, addr: addr, buf: src}); err != nil {
+		return err
 	}
 	if err := c.peerCheck(OpPutNBI, pe); err != nil {
 		return err
@@ -681,42 +702,34 @@ func (c *Ctx) WaitUntil64(addr Addr, cmp Cmp, operand uint64, timeout time.Durat
 		// Park in the scheduler; the wait resolves in virtual time.
 		return st.waitLocal(c.rank, addr, cmp, operand, timeout)
 	}
-	if sh, ok := c.w.transport.(*shmTransport); ok {
-		// Bounded spin, then park on the heap's futex word: a peer's
-		// one-sided store wakes this PE through the transport's wake
-		// hook instead of being discovered by the next poll iteration.
-		return sh.waitUntil(c, addr, i, cmp, operand, timeout)
+	if _, err := cmp.eval(0, operand); err != nil {
+		return 0, err // unknown comparison, before any waiting
 	}
 	var deadline time.Time
 	if timeout > 0 {
 		deadline = time.Now().Add(timeout)
 	}
-	for spins := 0; ; spins++ {
-		v := atomic.LoadUint64(c.self.word(i))
-		ok, err := cmp.eval(v, operand)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			return v, nil
-		}
+	pred := func(v uint64) bool {
+		ok, _ := cmp.eval(v, operand)
+		return ok
+	}
+	stop := func(v uint64) error {
 		if werr := c.Err(); werr != nil {
-			return 0, werr
+			return werr
 		}
 		if c.w.live.AnyDead() {
 			// A peer that could have flipped this word is gone; unwind
 			// with a named error instead of spinning out the timeout.
-			return 0, fmt.Errorf("shmem: WaitUntil64(%#x %v %d) aborted, peer declared dead: %w",
+			return fmt.Errorf("shmem: WaitUntil64(%#x %v %d) aborted, peer declared dead: %w",
 				uint64(addr), cmp, operand, ErrPeerDead)
 		}
 		if timeout > 0 && time.Now().After(deadline) {
-			return 0, fmt.Errorf("shmem: WaitUntil64(%#x %v %d) timed out after %v (last value %d): %w",
+			return fmt.Errorf("shmem: WaitUntil64(%#x %v %d) timed out after %v (last value %d): %w",
 				uint64(addr), cmp, operand, timeout, v, ErrOpTimeout)
 		}
-		if spins%64 == 63 {
-			time.Sleep(time.Microsecond)
-		} else {
-			yield()
-		}
+		return nil
 	}
+	// On shm a peer's one-sided store wakes this PE through the
+	// transport's wake hook instead of being found by the next poll.
+	return c.w.waitWord(c.self, i, pred, stop)
 }

@@ -61,6 +61,15 @@ type FaultInjector interface {
 	Before(op Op, from, to int, addr Addr) Verdict
 }
 
+// verdict consults the world's fault injector, if any, about one
+// operation; the zero Verdict lets it through untouched.
+func (w *World) verdict(op Op, from, to int, addr Addr) Verdict {
+	if f := w.cfg.Fault; f != nil {
+		return f.Before(op, from, to, addr)
+	}
+	return Verdict{}
+}
+
 // Compose chains injectors: delays add, duplicate/drop verdicts OR, and
 // the first non-nil Err wins.
 func Compose(injectors ...FaultInjector) FaultInjector {

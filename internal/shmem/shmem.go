@@ -19,10 +19,13 @@
 //     overhead, so protocol-level communication counts translate into
 //     measured time the same way they do on a real fabric.
 //
-// Two transports are provided: a local transport (PEs are goroutines in
-// one address space; the default, used by all benchmarks) and a TCP
-// transport (operations are marshalled over real sockets to a per-PE
-// service goroutine, exercising a genuine network path).
+// Four transports are provided: local (PEs are goroutines in one address
+// space; the default) and shm (heaps in one mmap'd segment, so PEs may be
+// separate processes) are one initiator-executed transport, memTransport;
+// tcp marshals operations over real sockets to a per-PE service
+// goroutine, exercising a genuine network path; sim runs the world under
+// a deterministic lockstep scheduler. All four apply operations through
+// one target-side executor (heapop.go).
 //
 // The package deliberately keeps OpenSHMEM's flat, rank-addressed flavor:
 // addresses are byte offsets into the symmetric heap, word operations
@@ -247,6 +250,11 @@ type World struct {
 	transport transport
 	barrier   barrier
 
+	// mem is the transport again when it is the in-memory memTransport
+	// (local or shm), whose heaps this process addresses directly; nil
+	// when operations travel over tcp or through the sim scheduler.
+	mem *memTransport
+
 	// localRank is >= 0 when this World hosts exactly one PE of a larger
 	// distributed world (see Join); -1 for fully local worlds.
 	localRank int
@@ -311,7 +319,7 @@ func NewWorld(cfg Config) (*World, error) {
 	})
 	switch cfg.Transport {
 	case TransportLocal:
-		w.transport = newLocalTransport(w)
+		w.transport = newMemTransport(w, nil)
 	case TransportTCP:
 		t, err := newTCPTransport(w)
 		if err != nil {
@@ -321,11 +329,11 @@ func NewWorld(cfg Config) (*World, error) {
 	case TransportSim:
 		w.transport = newSimTransport(w)
 	case TransportShm:
-		t, err := newShmTransport(w)
+		seg, err := newInProcessSegment(w)
 		if err != nil {
 			return nil, fmt.Errorf("shmem: starting shm transport: %w", err)
 		}
-		w.transport = t
+		w.transport = newMemTransport(w, seg)
 	default:
 		return nil, fmt.Errorf("shmem: unknown transport %v", cfg.Transport)
 	}
@@ -389,7 +397,7 @@ func (w *World) DumpFlight(reason string) error {
 		// heaps). Dump those rings too, under via-tagged names so each
 		// process's files are distinct; event sets are disjoint across
 		// processes, so post-mortem merging is duplicate-free.
-		if _, ok := w.transport.(*shmTransport); ok {
+		if w.mem != nil {
 			for r := 0; r < w.cfg.NumPEs; r++ {
 				f := w.flight.PE(r)
 				if r == w.localRank || f.Len() == 0 {
@@ -524,6 +532,10 @@ func (p *peState) checkRange(addr Addr, n int) error {
 // word returns the atomic word slot for addr; the caller must have
 // validated it with checkWord.
 func (p *peState) word(i int) *uint64 { return &p.words[i] }
+
+// wordAt returns the atomic word slot for addr; the caller must have
+// validated it with checkWord.
+func (p *peState) wordAt(addr Addr) *uint64 { return &p.words[addr/WordSize] }
 
 // copyIn writes src into the heap at addr. The word-aligned body of the
 // transfer is written with per-word atomic stores: heap regions are

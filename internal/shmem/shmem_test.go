@@ -299,7 +299,7 @@ func TestPutNBI(t *testing.T) {
 }
 
 func TestBoundsAndAlignmentErrors(t *testing.T) {
-	transports(t, func(t *testing.T, kind TransportKind) {
+	check := func(t *testing.T, kind TransportKind) {
 		w, err := NewWorld(Config{NumPEs: 2, HeapBytes: 128, Transport: kind})
 		if err != nil {
 			t.Fatal(err)
@@ -323,12 +323,29 @@ func TestBoundsAndAlignmentErrors(t *testing.T) {
 			if _, err := c.FetchAdd64(7, 0, 1); kind == TransportLocal && err == nil {
 				return fmt.Errorf("bad rank accepted")
 			}
-			return nil
+			// Non-blocking injections fail at the call on every
+			// transport, not later at delivery (which would fail the
+			// whole world and the Run below).
+			if err := c.Store64NBI(1, 128, 1); err == nil {
+				return fmt.Errorf("out-of-bounds store-nbi accepted")
+			}
+			if err := c.Add64NBI(1, 4, 1); err == nil {
+				return fmt.Errorf("unaligned add-nbi accepted")
+			}
+			if err := c.PutNBI(1, 120, make([]byte, 16)); err == nil {
+				return fmt.Errorf("out-of-bounds put-nbi accepted")
+			}
+			if err := c.Store64NBI(7, 0, 1); err == nil {
+				return fmt.Errorf("store-nbi to a bad rank accepted")
+			}
+			return c.Quiet()
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	transports(t, check)
+	t.Run("sim", func(t *testing.T) { check(t, TransportSim) })
 }
 
 func TestAllocSymmetricAndExhaustion(t *testing.T) {
@@ -495,73 +512,79 @@ func TestLatencyModelCharges(t *testing.T) {
 }
 
 func TestDelayFaultsStillComplete(t *testing.T) {
-	fault := &DelayFaults{Fraction: 1.0, MaxDelay: 2 * time.Millisecond, Seed: 7}
-	run(t, Config{NumPEs: 2, Fault: fault}, func(c *Ctx) error {
-		addr, err := c.Alloc(8)
-		if err != nil {
-			return err
-		}
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			for i := 0; i < 20; i++ {
-				if err := c.Add64NBI(1, addr, 1); err != nil {
-					return err
-				}
-			}
-			if err := c.Quiet(); err != nil {
-				return err
-			}
-			v, err := c.Load64(1, addr)
+	transports(t, func(t *testing.T, kind TransportKind) {
+		fault := &DelayFaults{Fraction: 1.0, MaxDelay: 2 * time.Millisecond, Seed: 7}
+		run(t, Config{NumPEs: 2, Transport: kind, Fault: fault}, func(c *Ctx) error {
+			addr, err := c.Alloc(8)
 			if err != nil {
 				return err
 			}
-			if v != 20 {
-				return fmt.Errorf("after quiet, counter=%d want 20: quiet returned before delayed ops applied", v)
+			if err := c.Barrier(); err != nil {
+				return err
 			}
-		}
-		return c.Barrier()
+			if c.Rank() == 0 {
+				for i := 0; i < 20; i++ {
+					if err := c.Add64NBI(1, addr, 1); err != nil {
+						return err
+					}
+				}
+				if err := c.Quiet(); err != nil {
+					return err
+				}
+				v, err := c.Load64(1, addr)
+				if err != nil {
+					return err
+				}
+				if v != 20 {
+					return fmt.Errorf("after quiet, counter=%d want 20: quiet returned before delayed ops applied", v)
+				}
+			}
+			return c.Barrier()
+		})
 	})
 }
 
 func TestDuplicateFaultsIdempotentStores(t *testing.T) {
-	fault := &DuplicateFaults{Fraction: 1.0, Seed: 3}
-	run(t, Config{NumPEs: 2, Fault: fault}, func(c *Ctx) error {
-		addr, err := c.Alloc(16)
-		if err != nil {
-			return err
-		}
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			if err := c.Store64NBI(1, addr, 77); err != nil {
-				return err
-			}
-			// Adds must NOT be duplicated even when the injector asks.
-			if err := c.Add64NBI(1, addr+8, 5); err != nil {
-				return err
-			}
-			if err := c.Quiet(); err != nil {
-				return err
-			}
-			v, err := c.Load64(1, addr)
+	transports(t, func(t *testing.T, kind TransportKind) {
+		fault := &DuplicateFaults{Fraction: 1.0, Seed: 3}
+		run(t, Config{NumPEs: 2, Transport: kind, Fault: fault}, func(c *Ctx) error {
+			addr, err := c.Alloc(24)
 			if err != nil {
 				return err
 			}
-			if v != 77 {
-				return fmt.Errorf("duplicated store produced %d, want 77", v)
-			}
-			v, err = c.Load64(1, addr+8)
-			if err != nil {
+			if err := c.Barrier(); err != nil {
 				return err
 			}
-			if v != 5 {
-				return fmt.Errorf("add applied %d times", v/5)
+			if c.Rank() == 0 {
+				if err := c.Store64NBI(1, addr, 77); err != nil {
+					return err
+				}
+				// Adds must NOT be duplicated even when the injector asks.
+				if err := c.Add64NBI(1, addr+8, 5); err != nil {
+					return err
+				}
+				// A blocking store takes the same verdict path.
+				if err := c.Store64(1, addr+16, 99); err != nil {
+					return err
+				}
+				if err := c.Quiet(); err != nil {
+					return err
+				}
+				for _, want := range []struct {
+					off Addr
+					v   uint64
+				}{{0, 77}, {8, 5}, {16, 99}} {
+					v, err := c.Load64(1, addr+want.off)
+					if err != nil {
+						return err
+					}
+					if v != want.v {
+						return fmt.Errorf("word +%d = %d after duplicated delivery, want %d", want.off, v, want.v)
+					}
+				}
 			}
-		}
-		return c.Barrier()
+			return c.Barrier()
+		})
 	})
 }
 

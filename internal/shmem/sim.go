@@ -127,15 +127,12 @@ const (
 )
 
 type simReq struct {
-	kind    int
-	rank    int
-	op      Op
-	to      int
-	addr    Addr
-	v1, v2  uint64
-	id      uint64 // fused-op id for OpFetchAddGet
-	buf     []byte // src for put, dst for get/getv/fetchAddGet payloads
-	spans   []Span
+	kind int
+	rank int
+	to   int
+	// heapOp is the one-sided operation (simReqOp, simReqNBI); a
+	// simReqWait reuses its addr and v1 for the watched word and operand.
+	heapOp
 	cmp     Cmp
 	timeout time.Duration
 	span    uint64 // causal span ID (0 = untagged); never logged, never
@@ -171,7 +168,7 @@ type simPE struct {
 
 // Scheduler event kinds (simEvent.kind).
 const (
-	simEvNBI  = iota // an NBI delivery landing at its target
+	simEvNBI   = iota // an NBI delivery landing at its target
 	simEvKill         // a scheduled crash injection fires
 	simEvDead         // the failure detector declares a killed PE dead
 	simEvChurn        // a scheduled membership transition begins
@@ -342,7 +339,7 @@ func (t *simTransport) waitLocal(rank int, addr Addr, cmp Cmp, operand uint64, t
 	if _, err := t.w.pes[rank].checkWord(addr); err != nil {
 		return 0, err
 	}
-	rep := t.call(simReq{kind: simReqWait, rank: rank, addr: addr, cmp: cmp, v1: operand, timeout: timeout})
+	rep := t.call(simReq{kind: simReqWait, rank: rank, heapOp: heapOp{addr: addr, v1: operand}, cmp: cmp, timeout: timeout})
 	if rep.err == errSimWaitTimeout {
 		return 0, fmt.Errorf("shmem: WaitUntil64(%#x %v %d) timed out after %v (last value %d): %w",
 			uint64(addr), cmp, operand, timeout, rep.val, ErrOpTimeout)
@@ -352,65 +349,65 @@ func (t *simTransport) waitLocal(rank int, addr Addr, cmp Cmp, operand uint64, t
 
 // --- transport interface ---------------------------------------------------
 
-func (t *simTransport) blocking(from int, op Op, to int, addr Addr, v1, v2, id uint64, buf []byte, spans []Span, span uint64) simReply {
-	return t.call(simReq{kind: simReqOp, rank: from, op: op, to: to, addr: addr, v1: v1, v2: v2, id: id, buf: buf, spans: spans, span: span})
+func (t *simTransport) blocking(from, to int, o heapOp, span uint64) simReply {
+	return t.call(simReq{kind: simReqOp, rank: from, to: to, heapOp: o, span: span})
 }
 
 func (t *simTransport) put(from, to int, addr Addr, src []byte, span uint64) error {
-	return t.blocking(from, OpPut, to, addr, 0, 0, 0, src, nil, span).err
+	return t.blocking(from, to, heapOp{op: OpPut, addr: addr, buf: src}, span).err
 }
 
 func (t *simTransport) get(from, to int, addr Addr, dst []byte, span uint64) error {
-	return t.blocking(from, OpGet, to, addr, 0, 0, 0, dst, nil, span).err
+	return t.blocking(from, to, heapOp{op: OpGet, addr: addr, buf: dst}, span).err
 }
 
 func (t *simTransport) getv(from, to int, spans []Span, dst []byte, span uint64) error {
-	return t.blocking(from, OpGetV, to, 0, 0, 0, 0, dst, spans, span).err
+	return t.blocking(from, to, heapOp{op: OpGetV, buf: dst, spans: spans}, span).err
 }
 
 func (t *simTransport) fetchAdd64(from, to int, addr Addr, delta uint64, span uint64) (uint64, error) {
-	rep := t.blocking(from, OpFetchAdd, to, addr, delta, 0, 0, nil, nil, span)
+	rep := t.blocking(from, to, heapOp{op: OpFetchAdd, addr: addr, v1: delta}, span)
 	return rep.val, rep.err
 }
 
 func (t *simTransport) swap64(from, to int, addr Addr, val uint64, span uint64) (uint64, error) {
-	rep := t.blocking(from, OpSwap, to, addr, val, 0, 0, nil, nil, span)
+	rep := t.blocking(from, to, heapOp{op: OpSwap, addr: addr, v1: val}, span)
 	return rep.val, rep.err
 }
 
 func (t *simTransport) compareSwap64(from, to int, addr Addr, old, new uint64, span uint64) (uint64, error) {
-	rep := t.blocking(from, OpCompareSwap, to, addr, old, new, 0, nil, nil, span)
+	rep := t.blocking(from, to, heapOp{op: OpCompareSwap, addr: addr, v1: old, v2: new}, span)
 	return rep.val, rep.err
 }
 
 func (t *simTransport) load64(from, to int, addr Addr, span uint64) (uint64, error) {
-	rep := t.blocking(from, OpLoad, to, addr, 0, 0, 0, nil, nil, span)
+	rep := t.blocking(from, to, heapOp{op: OpLoad, addr: addr}, span)
 	return rep.val, rep.err
 }
 
 func (t *simTransport) store64(from, to int, addr Addr, val uint64, span uint64) error {
-	return t.blocking(from, OpStore, to, addr, val, 0, 0, nil, nil, span).err
+	return t.blocking(from, to, heapOp{op: OpStore, addr: addr, v1: val}, span).err
 }
 
 func (t *simTransport) fetchAddGet(from, to int, addr Addr, delta uint64, id uint64, span uint64) (uint64, []byte, error) {
-	rep := t.blocking(from, OpFetchAddGet, to, addr, delta, 0, id, nil, nil, span)
+	rep := t.blocking(from, to, heapOp{op: OpFetchAddGet, addr: addr, v1: delta, v2: id}, span)
 	return rep.val, rep.data, rep.err
 }
 
 func (t *simTransport) storeNBI(from, to int, addr Addr, val uint64, span uint64) error {
-	t.send(simReq{kind: simReqNBI, rank: from, op: OpStoreNBI, to: to, addr: addr, v1: val, span: span})
+	t.send(simReq{kind: simReqNBI, rank: from, to: to, heapOp: heapOp{op: OpStoreNBI, addr: addr, v1: val}, span: span})
 	return nil
 }
 
 func (t *simTransport) addNBI(from, to int, addr Addr, delta uint64, span uint64) error {
-	t.send(simReq{kind: simReqNBI, rank: from, op: OpAddNBI, to: to, addr: addr, v1: delta, span: span})
+	t.send(simReq{kind: simReqNBI, rank: from, to: to, heapOp: heapOp{op: OpAddNBI, addr: addr, v1: delta}, span: span})
 	return nil
 }
 
 func (t *simTransport) putNBI(from, to int, addr Addr, src []byte, span uint64) error {
 	data := make([]byte, len(src))
 	copy(data, src)
-	t.send(simReq{kind: simReqNBI, rank: from, op: OpPutNBI, to: to, addr: addr, buf: data, span: span})
+	t.send(simReq{kind: simReqNBI, rank: from, to: to, heapOp: heapOp{op: OpPutNBI, addr: addr, buf: data}, span: span})
 	return nil
 }
 
@@ -477,13 +474,6 @@ func delayNS(d time.Duration) uint64 {
 		return 0
 	}
 	return uint64(d)
-}
-
-func (t *simTransport) inject(op Op, from, to int, addr Addr) Verdict {
-	if f := t.w.cfg.Fault; f != nil {
-		return f.Before(op, from, to, addr)
-	}
-	return Verdict{}
 }
 
 // targetCheck fails an in-flight blocking op whose target crashed: dead
@@ -562,7 +552,7 @@ func (t *simTransport) handle(r simReq) {
 		t.logf("%d %d don pe=%d\n", t.nextSeq(), t.now, r.rank)
 		t.replies[r.rank] <- simReply{}
 	case simReqOp:
-		v := t.inject(r.op, r.rank, r.to, r.addr)
+		v := t.w.verdict(r.op, r.rank, r.to, r.addr)
 		pe.state = simPEBlockedOp
 		pe.req = r
 		pe.readyAt = pe.vclock + t.drawLatency() + delayNS(v.Delay)
@@ -623,7 +613,7 @@ func (t *simTransport) handleNBI(r simReq) {
 		t.failWorld(fmt.Sprintf("NBI %v from PE %d targets PE %d out of range", r.op, r.rank, r.to))
 		return
 	}
-	v := t.inject(r.op, r.rank, r.to, r.addr)
+	v := t.w.verdict(r.op, r.rank, r.to, r.addr)
 	if r.op == OpAddNBI {
 		v.Duplicate = false // atomics are never blindly retransmitted
 	}
@@ -791,29 +781,9 @@ func (t *simTransport) deliver() {
 	if ev.drop {
 		t.logf("%d %d dlv %v %d->%d a=%#x dropped\n", t.nextSeq(), t.now, ev.op, ev.from, ev.to, uint64(ev.addr))
 	} else {
-		target := t.w.pes[ev.to]
-		switch ev.op {
-		case OpStoreNBI:
-			if i, err := target.checkWord(ev.addr); err == nil {
-				atomic.StoreUint64(target.word(i), ev.val)
-			} else {
-				t.failWorld(err.Error())
-				return
-			}
-		case OpAddNBI:
-			if i, err := target.checkWord(ev.addr); err == nil {
-				atomic.AddUint64(target.word(i), ev.val)
-			} else {
-				t.failWorld(err.Error())
-				return
-			}
-		case OpPutNBI:
-			if err := target.checkRange(ev.addr, len(ev.data)); err == nil {
-				target.copyIn(ev.addr, ev.data)
-			} else {
-				t.failWorld(err.Error())
-				return
-			}
+		if _, _, err := t.w.pes[ev.to].exec(t.w, &heapOp{op: ev.op, addr: ev.addr, v1: ev.val, buf: ev.data}, nil); err != nil {
+			t.failWorld(err.Error())
+			return
 		}
 		t.w.flightVictim(time.Time{}, ev.op, ev.from, ev.to, ev.span)
 		t.logf("%d %d dlv %v %d->%d a=%#x v=%d\n", t.nextSeq(), t.now, ev.op, ev.from, ev.to, uint64(ev.addr), ev.val)
@@ -967,90 +937,11 @@ func (t *simTransport) applyOp(r simReq) simReply {
 	if r.to < 0 || r.to >= len(t.w.pes) {
 		return simReply{err: fmt.Errorf("shmem: target PE %d out of range [0, %d)", r.to, len(t.w.pes))}
 	}
-	pe := t.w.pes[r.to]
-	switch r.op {
-	case OpPut:
-		if err := pe.checkRange(r.addr, len(r.buf)); err != nil {
-			return simReply{err: err}
-		}
-		pe.copyIn(r.addr, r.buf)
-		return simReply{}
-	case OpGet:
-		if err := pe.checkRange(r.addr, len(r.buf)); err != nil {
-			return simReply{err: err}
-		}
-		pe.copyOut(r.addr, r.buf)
-		return simReply{}
-	case OpGetV:
-		total := 0
-		for _, sp := range r.spans {
-			if err := pe.checkRange(sp.Addr, sp.N); err != nil {
-				return simReply{err: err}
-			}
-			total += sp.N
-		}
-		if total != len(r.buf) {
-			return simReply{err: fmt.Errorf("shmem: getv spans cover %d bytes, dst holds %d", total, len(r.buf))}
-		}
-		off := 0
-		for _, sp := range r.spans {
-			pe.copyOut(sp.Addr, r.buf[off:off+sp.N])
-			off += sp.N
-		}
-		return simReply{}
-	case OpFetchAdd:
-		i, err := pe.checkWord(r.addr)
-		if err != nil {
-			return simReply{err: err}
-		}
-		return simReply{val: atomic.AddUint64(pe.word(i), r.v1) - r.v1}
-	case OpSwap:
-		i, err := pe.checkWord(r.addr)
-		if err != nil {
-			return simReply{err: err}
-		}
-		return simReply{val: atomic.SwapUint64(pe.word(i), r.v1)}
-	case OpCompareSwap:
-		i, err := pe.checkWord(r.addr)
-		if err != nil {
-			return simReply{err: err}
-		}
-		for {
-			cur := atomic.LoadUint64(pe.word(i))
-			if cur != r.v1 {
-				return simReply{val: cur}
-			}
-			if atomic.CompareAndSwapUint64(pe.word(i), r.v1, r.v2) {
-				return simReply{val: r.v1}
-			}
-		}
-	case OpLoad:
-		i, err := pe.checkWord(r.addr)
-		if err != nil {
-			return simReply{err: err}
-		}
-		return simReply{val: atomic.LoadUint64(pe.word(i))}
-	case OpStore:
-		i, err := pe.checkWord(r.addr)
-		if err != nil {
-			return simReply{err: err}
-		}
-		atomic.StoreUint64(pe.word(i), r.v1)
-		return simReply{}
-	case OpFetchAddGet:
-		i, err := pe.checkWord(r.addr)
-		if err != nil {
-			return simReply{err: err}
-		}
-		old := atomic.AddUint64(pe.word(i), r.v1) - r.v1
-		data, err := t.w.applyFused(pe, old, r.id)
-		if err != nil {
-			return simReply{err: err}
-		}
-		return simReply{val: old, data: data}
-	default:
-		return simReply{err: fmt.Errorf("shmem/sim: unexpected blocking op %v", r.op)}
+	val, data, err := t.w.pes[r.to].exec(t.w, &r.heapOp, nil)
+	if err != nil {
+		return simReply{err: err}
 	}
+	return simReply{val: val, data: data}
 }
 
 // failWorld records a scheduler-detected failure (deadlock, livelock,

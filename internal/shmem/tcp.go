@@ -283,6 +283,7 @@ func (t *tcpTransport) handle(rank int, conn net.Conn) {
 		ackFrm  [4]byte
 		reqBuf  []byte // request payload staging
 		rspBuf  []byte // response payload staging (get/getv/fused gather)
+		spans   []Span // getv span table staging
 		pending int    // applied async ops not yet acked
 	)
 	flushAcks := func() error {
@@ -313,9 +314,16 @@ func (t *tcpTransport) handle(rank int, conn net.Conn) {
 		status := byte(0)
 		var rv uint64
 		var rp []byte
-		if aerr := t.applyOp(pe, op, addr, v1, v2, payload, &rv, &rp, &rspBuf); aerr != nil {
-			status, rp = 1, []byte(aerr.Error())
+		o, aerr := decodeOp(pe, op, addr, v1, v2, payload, &rspBuf, &spans)
+		if aerr == nil {
+			rv, rp, aerr = pe.exec(t.w, &o, rspBuf[:0])
+		}
+		if aerr != nil {
+			status, rv, rp = 1, 0, []byte(aerr.Error())
 		} else {
+			if op == OpFetchAddGet && rp != nil {
+				rspBuf = rp // keep any growth for the next op
+			}
 			t.w.flightVictim(time.Time{}, op, from, rank, span)
 		}
 		if kind == connSync {
@@ -341,117 +349,41 @@ func (t *tcpTransport) handle(rank int, conn net.Conn) {
 	}
 }
 
-// applyOp executes a one-sided op on the local heap, exactly as the local
-// transport's initiator/applier would. Response payloads are staged in
-// *scratch (grown as needed, reused across ops); *rp may alias it and is
-// only valid until the next applyOp on this connection.
-func (t *tcpTransport) applyOp(pe *peState, op Op, addr Addr, v1, v2 uint64, payload []byte, rv *uint64, rp *[]byte, scratch *[]byte) error {
+// decodeOp turns one wire request into the heap operation it names. Get
+// and getv destinations are staged in *scratch (grown as needed, reused
+// across requests) and a getv span table is decoded into *spans; the
+// lengths that size them come from a socket, so they are checked here
+// against the heap before anything is allocated. Everything else is the
+// shared executor's job.
+func decodeOp(pe *peState, op Op, addr Addr, v1, v2 uint64, payload []byte, scratch *[]byte, spans *[]Span) (heapOp, error) {
+	o := heapOp{op: op, addr: addr, v1: v1, v2: v2}
 	switch op {
-	case OpFetchAddGet:
-		i, err := pe.checkWord(addr)
-		if err != nil {
-			return err
-		}
-		old := atomic.AddUint64(pe.word(i), v1) - v1
-		data, err := t.w.applyFusedInto(pe, old, v2, (*scratch)[:0])
-		if err != nil {
-			return err
-		}
-		if data != nil {
-			*scratch = data // keep any growth for the next op
-		}
-		*rv = old
-		*rp = data
 	case OpPut, OpPutNBI:
-		if err := pe.checkRange(addr, len(payload)); err != nil {
-			return err
-		}
-		pe.copyIn(addr, payload)
+		o.buf = payload
 	case OpGet:
-		n := int(v1)
-		if err := pe.checkRange(addr, n); err != nil {
-			return err
+		if v1 > uint64(len(pe.bytes)) {
+			return o, fmt.Errorf("shmem/tcp: get of %d bytes exceeds the %d-byte heap", v1, len(pe.bytes))
 		}
-		buf := growScratch(scratch, n)
-		pe.copyOut(addr, buf)
-		*rp = buf
+		o.buf = growScratch(scratch, int(v1))
 	case OpGetV:
 		nspans := int(v1)
 		if nspans < 0 || len(payload) != nspans*spanWireSize {
-			return fmt.Errorf("shmem/tcp: getv span table is %d bytes, want %d", len(payload), nspans*spanWireSize)
+			return o, fmt.Errorf("shmem/tcp: getv span table is %d bytes, want %d", len(payload), nspans*spanWireSize)
 		}
-		total := int(v2)
-		if total < 0 {
-			return fmt.Errorf("shmem/tcp: getv negative total %d", total)
+		if v2 > uint64(len(pe.bytes))*uint64(nspans) {
+			return o, fmt.Errorf("shmem/tcp: getv total %d exceeds %d spans of the %d-byte heap", v2, nspans, len(pe.bytes))
 		}
-		buf := growScratch(scratch, total)
-		off := 0
+		sp := (*spans)[:0]
 		for i := 0; i < nspans; i++ {
-			sa := Addr(binary.LittleEndian.Uint64(payload[i*spanWireSize:]))
-			sn := int(binary.LittleEndian.Uint32(payload[i*spanWireSize+8:]))
-			if err := pe.checkRange(sa, sn); err != nil {
-				return err
-			}
-			if off+sn > total {
-				return fmt.Errorf("shmem/tcp: getv spans overflow total %d", total)
-			}
-			pe.copyOut(sa, buf[off:off+sn])
-			off += sn
+			sp = append(sp, Span{
+				Addr: Addr(binary.LittleEndian.Uint64(payload[i*spanWireSize:])),
+				N:    int(binary.LittleEndian.Uint32(payload[i*spanWireSize+8:])),
+			})
 		}
-		if off != total {
-			return fmt.Errorf("shmem/tcp: getv spans cover %d bytes, header claims %d", off, total)
-		}
-		*rp = buf
-	case OpFetchAdd:
-		i, err := pe.checkWord(addr)
-		if err != nil {
-			return err
-		}
-		*rv = atomic.AddUint64(pe.word(i), v1) - v1
-	case OpSwap:
-		i, err := pe.checkWord(addr)
-		if err != nil {
-			return err
-		}
-		*rv = atomic.SwapUint64(pe.word(i), v1)
-	case OpCompareSwap:
-		i, err := pe.checkWord(addr)
-		if err != nil {
-			return err
-		}
-		for {
-			cur := atomic.LoadUint64(pe.word(i))
-			if cur != v1 {
-				*rv = cur
-				return nil
-			}
-			if atomic.CompareAndSwapUint64(pe.word(i), v1, v2) {
-				*rv = v1
-				return nil
-			}
-		}
-	case OpLoad:
-		i, err := pe.checkWord(addr)
-		if err != nil {
-			return err
-		}
-		*rv = atomic.LoadUint64(pe.word(i))
-	case OpStore, OpStoreNBI:
-		i, err := pe.checkWord(addr)
-		if err != nil {
-			return err
-		}
-		atomic.StoreUint64(pe.word(i), v1)
-	case OpAddNBI:
-		i, err := pe.checkWord(addr)
-		if err != nil {
-			return err
-		}
-		atomic.AddUint64(pe.word(i), v1)
-	default:
-		return fmt.Errorf("shmem/tcp: unknown op %d", op)
+		*spans = sp
+		o.spans, o.buf = sp, growScratch(scratch, int(v2))
 	}
-	return nil
+	return o, nil
 }
 
 // readRequest reads one request using the caller's header scratch; a
@@ -724,12 +656,10 @@ func (t *tcpTransport) evictSync(from, to int, sc *syncConn) {
 // a success payload of exactly matching length without an intermediate
 // copy.
 func (t *tcpTransport) roundTrip(from, to int, op Op, addr Addr, v1, v2, span uint64, payload, respInto []byte) (uint64, []byte, error) {
-	if f := t.w.cfg.Fault; f != nil {
-		v := f.Before(op, from, to, addr)
-		charge(v.Delay)
-		if err := v.failure(); err != nil {
-			return 0, nil, opError(op, from, to, err)
-		}
+	v := t.w.verdict(op, from, to, addr)
+	charge(v.Delay)
+	if err := v.failure(); err != nil {
+		return 0, nil, opError(op, from, to, err)
 	}
 	t.w.cfg.Latency.charge(t.w.cfg.Latency.blockingCost(len(payload)))
 	// A blocking op must not overtake this initiator's coalesced
@@ -813,20 +743,14 @@ func (t *tcpTransport) attemptSync(from, to int, op Op, addr Addr, v1, v2, span 
 // earlier by a blocking op to the same target, Quiet, or the background
 // flusher.
 func (t *tcpTransport) injectAsync(from, to int, op Op, addr Addr, v1, span uint64, payload []byte) error {
-	dup := false
-	if f := t.w.cfg.Fault; f != nil {
-		v := f.Before(op, from, to, addr)
-		charge(v.Delay)
-		if v.dropped() {
-			// Silently lost before reaching the wire: nothing pending,
-			// Quiet unaffected.
-			return nil
-		}
-		dup = v.Duplicate
-		if op == OpAddNBI {
-			dup = false // atomics are never blindly retransmitted
-		}
+	v := t.w.verdict(op, from, to, addr)
+	charge(v.Delay)
+	if v.dropped() {
+		// Silently lost before reaching the wire: nothing pending, Quiet
+		// unaffected.
+		return nil
 	}
+	dup := v.Duplicate && op != OpAddNBI // atomics are never blindly retransmitted
 	t.w.cfg.Latency.charge(t.w.cfg.Latency.InjectOverhead)
 	ac, err := t.asyncConn(from, to)
 	if err != nil {

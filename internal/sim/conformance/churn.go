@@ -49,6 +49,7 @@ func ExactlyOnceUnderChurn(t *testing.T, f Factory, seed int64) {
 	}
 	var leaves atomic.Int64
 	var joinOnce, drainOnce sync.Once
+	var refused atomic.Bool // a Begin* call failed: nothing will settle
 	runErr := w.Run(func(ctx *shmem.Ctx) error {
 		slots := ctx.MustAlloc(total * shmem.WordSize)
 		lost := ctx.MustAlloc(shmem.WordSize)
@@ -64,11 +65,34 @@ func ExactlyOnceUnderChurn(t *testing.T, f Factory, seed int64) {
 			}
 			switch n := leaves.Add(1); {
 			case n == joinAt:
-				joinOnce.Do(func() { _ = w.Live().BeginJoin(joinRank) })
+				joinOnce.Do(func() {
+					if w.Live().BeginJoin(joinRank) != nil {
+						refused.Store(true)
+					}
+				})
 			case n == drainAt:
-				drainOnce.Do(func() { _ = w.Live().BeginDrain(drainRank) })
+				drainOnce.Do(func() {
+					if w.Live().BeginDrain(drainRank) != nil {
+						refused.Store(true)
+					}
+				})
 			}
 			return nil
+		})
+		// The transitions are begun from leaf bodies but completed by the
+		// joining and draining ranks themselves, at the top of their next
+		// scheduler iteration. On a loaded host a rank can go unscheduled
+		// for the few milliseconds the remaining leaves take, so the keeper
+		// holds the run open — re-spawning itself, never blocking a PE —
+		// until both have completed: the run's end follows the churn's
+		// progress, not the host's scheduling.
+		var keeper task.Handle
+		keeper = reg.MustRegister("keeper", func(tc *pool.TaskCtx, _ []byte) error {
+			lv := w.Live()
+			if refused.Load() || (lv.Member(joinRank) && lv.State(drainRank) == shmem.PeerParked) {
+				return nil
+			}
+			return tc.Spawn(keeper, nil)
 		})
 		var producer task.Handle
 		producer = reg.MustRegister("producer", func(tc *pool.TaskCtx, payload []byte) error {
@@ -92,6 +116,9 @@ func ExactlyOnceUnderChurn(t *testing.T, f Factory, seed int64) {
 			return err
 		}
 		if ctx.Rank() == 0 {
+			if err := p.Add(keeper, nil); err != nil {
+				return err
+			}
 			for i := 0; i < producers; i++ {
 				base := uint64(producers + i*leavesPer)
 				if err := p.Add(producer, task.Args(uint64(i), base)); err != nil {

@@ -437,6 +437,7 @@ func EpochSafeAcquire(t *testing.T, f Factory) {
 		if err != nil {
 			return err
 		}
+		released := ctx.MustAlloc(shmem.WordSize) // owner -> thief: work shared
 		claimed := ctx.MustAlloc(shmem.WordSize)  // thief -> owner: claim made
 		acquired := ctx.MustAlloc(shmem.WordSize) // owner -> thief: acquire done
 		if err := ctx.Barrier(); err != nil {
@@ -454,6 +455,11 @@ func EpochSafeAcquire(t *testing.T, f Factory) {
 			}
 			if shared == 0 {
 				return fmt.Errorf("release shared nothing")
+			}
+			// The claim must come after the release: a thief that beat it
+			// would fetch the empty queue's invalid stealval.
+			if err := ctx.Store64(1, released, 1); err != nil {
+				return err
 			}
 			// Wait for the thief's in-flight claim (fetch-add done, no
 			// completion store yet).
@@ -504,6 +510,9 @@ func EpochSafeAcquire(t *testing.T, f Factory) {
 		}
 		// Thief: claim manually so the completion store can be withheld
 		// while the owner acquires — the exact §4.2 window.
+		if _, err := ctx.WaitUntil64(released, shmem.CmpEQ, 1, waitTimeout); err != nil {
+			return err
+		}
 		old, err := ctx.FetchAdd64(0, q.StealvalAddr(), core.AstealsUnit)
 		if err != nil {
 			return err
