@@ -15,6 +15,7 @@ import (
 	"sws/internal/bpc"
 	"sws/internal/core"
 	"sws/internal/pool"
+	"sws/internal/ptimer"
 	"sws/internal/shmem"
 	"sws/internal/stats"
 	"sws/internal/task"
@@ -238,7 +239,7 @@ func BenchmarkFlightRecorderOverhead(b *testing.B) {
 // Tier 2 is deterministic component accounting: count the journal
 // events one steal actually records (from the rings themselves), price
 // each class with a tight-loop microbenchmark — Record pays a clock
-// read, RecordTime-stamped events do not — and compare the summed cost
+// read, RecordTick-stamped events do not — and compare the summed cost
 // against the recorder-off steal time. This fails whenever someone adds
 // events to the steal path or makes recording slower, which is exactly
 // what the budget protects, and it cannot be faked by a lucky quiet
@@ -315,11 +316,11 @@ func TestFlightRecorderOverheadGuard(t *testing.T) {
 			f.Record(trace.CommOp, 1, 2, 3)
 		}
 	}).NsPerOp())
-	at := time.Now()
+	at := ptimer.Now()
 	stampCost := time.Duration(testing.Benchmark(func(b *testing.B) {
 		f := trace.NewFlight(0, 4096)
 		for i := 0; i < b.N; i++ {
-			f.RecordTime(at, trace.CommOp, 1, 2, 3)
+			f.RecordTick(at, trace.CommOp, 1, 2, 3)
 		}
 	}).NsPerOp())
 	accounted := (time.Duration(full)*recCost + time.Duration(stamped)*stampCost) / steals

@@ -22,6 +22,7 @@ package main
 
 import (
 	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -29,6 +30,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
+	"syscall"
 	"time"
 
 	"sws/internal/bpc"
@@ -64,15 +66,15 @@ func main() {
 		suspectAfter = flag.Duration("suspect-after", 0, "heartbeat silence before a peer is suspected (0 = library default)")
 		deadAfter    = flag.Duration("dead-after", 0, "heartbeat silence before a peer is declared dead (0 = library default)")
 
-		flightDir = flag.String("flight-dir", "", "directory for flight-recorder journals, dumped on failure (empty = no dumps)")
-		killRank  = flag.Int("kill-rank", -1, "chaos: SIGKILL this worker rank after -kill-after (launcher side)")
-		killAfter = flag.Duration("kill-after", 2*time.Second, "chaos: delay before -kill-rank fires")
+		flightDir      = flag.String("flight-dir", "", "directory for flight-recorder journals, dumped on failure (empty = no dumps)")
+		killRank       = flag.Int("kill-rank", -1, "chaos: this worker rank SIGKILLs itself once it has executed -kill-after-tasks tasks (-1 = no kill)")
+		killAfterTasks = flag.Uint64("kill-after-tasks", 0, "chaos: tasks -kill-rank executes before it dies (a progress trigger, immune to how fast the run is)")
 
-		members    = flag.Int("members", 0, "elastic membership: ranks [members, n) start parked (0 = all ranks are members)")
-		joinRank   = flag.Int("join-rank", -1, "elastic membership: this parked rank joins the world after -join-after")
-		joinAfter  = flag.Duration("join-after", 200*time.Millisecond, "delay before -join-rank begins joining")
-		drainRank  = flag.Int("drain-rank", -1, "elastic membership: this rank drains out of the world after -drain-after")
-		drainAfter = flag.Duration("drain-after", 400*time.Millisecond, "delay before -drain-rank begins draining")
+		members         = flag.Int("members", 0, "elastic membership: ranks [members, n) start parked (0 = all ranks are members)")
+		joinRank        = flag.Int("join-rank", -1, "elastic membership: this parked rank joins the world after -join-after")
+		joinAfter       = flag.Duration("join-after", 200*time.Millisecond, "delay before -join-rank begins joining")
+		drainRank       = flag.Int("drain-rank", -1, "elastic membership: this rank drains out of the world once it has executed -drain-after-tasks tasks")
+		drainAfterTasks = flag.Uint64("drain-after-tasks", 20000, "tasks -drain-rank executes before it begins draining (a progress trigger, immune to how fast the run is)")
 
 		worker  = flag.Bool("worker", false, "internal: run as a worker process")
 		rank    = flag.Int("rank", -1, "internal: worker rank")
@@ -102,17 +104,17 @@ func main() {
 	lcfg := livenessFlags{opTimeout: *opTimeout, suspectAfter: *suspectAfter, deadAfter: *deadAfter, flightDir: *flightDir}
 	wcfg := wireFlags{transport: *transport, bind: *bind, coordinator: *coord, segment: *segment}
 	qcfg := queueFlags{grow: *grow, maxGrowth: *maxGrowth, capacity: *qcap}
-	ccfg := churnFlags{members: *members, joinRank: *joinRank, joinAfter: *joinAfter, drainRank: *drainRank, drainAfter: *drainAfter}
+	ccfg := churnFlags{members: *members, joinRank: *joinRank, joinAfter: *joinAfter, drainRank: *drainRank, drainAfterTasks: *drainAfterTasks}
 	if err := ccfg.validate(*n); err != nil {
 		fatal(err)
 	}
+	kcfg := killFlags{rank: *killRank, afterTasks: *killAfterTasks}
 	if *worker {
-		if err := runWorker(*rank, *n, wcfg, *depth, proto, *workload, *metricsAddr, *workers, qcfg, lcfg, ccfg); err != nil {
+		if err := runWorker(*rank, *n, wcfg, *depth, proto, *workload, *metricsAddr, *workers, qcfg, lcfg, kcfg, ccfg); err != nil {
 			fatal(fmt.Errorf("rank %d: %w", *rank, err))
 		}
 		return
 	}
-	kcfg := killFlags{rank: *killRank, after: *killAfter}
 	if err := launch(*n, *depth, *protoName, *workload, *metricsAddr, *workers, qcfg, wcfg, lcfg, kcfg, ccfg); err != nil {
 		fatal(err)
 	}
@@ -144,23 +146,66 @@ type queueFlags struct {
 	capacity  int
 }
 
-// killFlags is the launcher-side chaos schedule: SIGKILL one worker rank
-// after a delay (rank < 0 disables).
+// killFlags is the chaos schedule: worker rank `rank` (rank < 0
+// disables) SIGKILLs itself once it has executed afterTasks tasks. A
+// progress trigger, unlike a wall-clock delay, cannot be outrun by a
+// fast host finishing the run first. The target acts on its own count;
+// the launcher reports the kill and journals it when the target's exit
+// arrives.
 type killFlags struct {
-	rank  int
-	after time.Duration
+	rank       int
+	afterTasks uint64
+}
+
+// trigger describes when the kill fires, for logs and the supervisor
+// journal.
+func (k killFlags) trigger() string {
+	return fmt.Sprintf("after it executed %d tasks", k.afterTasks)
+}
+
+// waitExecuted polls the pool's live executed-task count until it
+// reaches n. If the run finishes first it ends with the process, and the
+// trigger waiting on it never fires.
+func waitExecuted(p *pool.Pool, n uint64) {
+	for p.TasksExecutedLive() < n {
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// killSelfAfter runs in the kill target: it SIGKILLs its own process once
+// the pool has executed n tasks. A run that finishes first exits zero,
+// which the chaos tests report as a trigger that never fired.
+func killSelfAfter(p *pool.Pool, n uint64) {
+	waitExecuted(p, n)
+	if self, err := os.FindProcess(os.Getpid()); err == nil {
+		_ = self.Kill()
+	}
+}
+
+// killedBySIGKILL reports whether a worker's exit error is death by
+// SIGKILL.
+func killedBySIGKILL(err error) bool {
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) {
+		return false
+	}
+	ws, ok := ee.Sys().(syscall.WaitStatus)
+	return ok && ws.Signaled() && ws.Signal() == syscall.SIGKILL
 }
 
 // churnFlags is the elastic-membership schedule, carried identically to
 // every worker: how many ranks start as members (the rest start parked),
-// and which rank joins or drains after a wall-clock delay. Each worker
-// drives only its OWN rank's transition — the advertised state
-// propagates to peers through the liveness prober, which is the same
-// path a real autoscaler would use from inside the resized process.
+// which rank joins after a wall-clock delay, and which rank drains once
+// it has executed a number of tasks (a progress trigger: a delay could
+// outlast a fast run). Each worker drives only its OWN rank's transition
+// — the advertised state propagates to peers through the liveness
+// prober, which is the same path a real autoscaler would use from inside
+// the resized process.
 type churnFlags struct {
-	members               int
-	joinRank, drainRank   int
-	joinAfter, drainAfter time.Duration
+	members             int
+	joinRank, drainRank int
+	joinAfter           time.Duration
+	drainAfterTasks     uint64
 }
 
 func (c churnFlags) validate(n int) error {
@@ -276,7 +321,9 @@ func launch(n, depth int, protoName, workload, metricsAddr string, workers int, 
 			"-join-rank", fmt.Sprint(ccfg.joinRank),
 			"-join-after", ccfg.joinAfter.String(),
 			"-drain-rank", fmt.Sprint(ccfg.drainRank),
-			"-drain-after", ccfg.drainAfter.String())
+			"-drain-after-tasks", fmt.Sprint(ccfg.drainAfterTasks),
+			"-kill-rank", fmt.Sprint(kcfg.rank),
+			"-kill-after-tasks", fmt.Sprint(kcfg.afterTasks))
 		cmd.Stdout = os.Stdout
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
@@ -294,31 +341,23 @@ func launch(n, depth int, protoName, workload, metricsAddr string, workers int, 
 	killed := make([]bool, n)
 	firstFail := -1
 	var deadline <-chan time.Time
-	var killTimer <-chan time.Time
-	if kcfg.rank >= 0 && kcfg.rank < n {
-		killTimer = time.After(kcfg.after)
-	}
 	for remaining := n; remaining > 0; {
 		select {
-		case <-killTimer:
-			killTimer = nil
-			if exited[kcfg.rank] {
-				break
-			}
-			pid := procs[kcfg.rank].Process.Pid
-			fmt.Fprintf(os.Stderr, "sws-dist: chaos: SIGKILL rank %d (pid %d) after %v\n", kcfg.rank, pid, kcfg.after)
-			_ = procs[kcfg.rank].Process.Kill()
-			// The killed process's in-memory flight ring dies with it; the
-			// supervisor journals the kill in its place so post-mortem
-			// tooling can name the dead rank even if no survivor observed
-			// the death.
-			if err := writeSupervisorJournal(lcfg.flightDir, n, kcfg.rank, pid, kcfg.after); err != nil {
-				fmt.Fprintf(os.Stderr, "sws-dist: supervisor journal: %v\n", err)
-			}
 		case ev := <-exits:
 			remaining--
 			exited[ev.rank] = true
 			errs[ev.rank] = ev.err
+			if ev.rank == kcfg.rank && !killed[ev.rank] && killedBySIGKILL(ev.err) {
+				pid := procs[ev.rank].Process.Pid
+				fmt.Fprintf(os.Stderr, "sws-dist: chaos: SIGKILL rank %d (pid %d) %s\n", ev.rank, pid, kcfg.trigger())
+				// The killed process's in-memory flight ring dies with it;
+				// the supervisor journals the kill in its place so
+				// post-mortem tooling can name the dead rank even if no
+				// survivor observed the death.
+				if err := writeSupervisorJournal(lcfg.flightDir, n, ev.rank, pid, kcfg.trigger()); err != nil {
+					fmt.Fprintf(os.Stderr, "sws-dist: supervisor journal: %v\n", err)
+				}
+			}
 			if ev.err != nil && firstFail < 0 {
 				firstFail = ev.rank
 				grace := lcfg.grace()
@@ -395,7 +434,7 @@ func pickCoordinator(bind string) (string, error) {
 
 // runWorker is one PE's process: join the world, run the pool, publish
 // per-rank counts into rank 0's heap, and let rank 0 report.
-func runWorker(rank, n int, wcfg wireFlags, depth int, proto pool.Protocol, workload, metricsAddr string, workers int, qcfg queueFlags, lcfg livenessFlags, ccfg churnFlags) error {
+func runWorker(rank, n int, wcfg wireFlags, depth int, proto pool.Protocol, workload, metricsAddr string, workers int, qcfg queueFlags, lcfg livenessFlags, kcfg killFlags, ccfg churnFlags) error {
 	var gatherer *obs.Gatherer
 	if metricsAddr != "" {
 		gatherer = obs.NewGatherer()
@@ -462,15 +501,6 @@ func runWorker(rank, n int, wcfg wireFlags, depth int, proto pool.Protocol, work
 			fmt.Printf("rank %d: joining the world after %v\n", rank, ccfg.joinAfter)
 		})
 	}
-	if ccfg.drainRank == rank {
-		time.AfterFunc(ccfg.drainAfter, func() {
-			if err := w.Live().BeginDrain(rank); err != nil {
-				fmt.Fprintf(os.Stderr, "rank %d: drain after %v refused: %v\n", rank, ccfg.drainAfter, err)
-				return
-			}
-			fmt.Printf("rank %d: draining out of the world after %v\n", rank, ccfg.drainAfter)
-		})
-	}
 	runErr := w.Run(func(c *shmem.Ctx) error {
 		// A results array on rank 0: executed-task count per rank.
 		resultsAddr, err := c.Alloc(n * shmem.WordSize)
@@ -482,6 +512,12 @@ func runWorker(rank, n int, wcfg wireFlags, depth int, proto pool.Protocol, work
 		var seed func(p *pool.Pool) error
 		pcfg := pool.Config{Protocol: proto, Seed: int64(n), Metrics: gatherer, Workers: workers,
 			QueueCapacity: qcfg.capacity, Growable: qcfg.grow, MaxGrowth: qcfg.maxGrowth}
+		if (kcfg.rank == rank || ccfg.drainRank == rank) && pcfg.Metrics == nil {
+			// The kill and drain triggers read the pool's live executed
+			// count, which is kept only with a gatherer attached; an
+			// unserved one will do.
+			pcfg.Metrics = obs.NewGatherer()
+		}
 		switch workload {
 		case "uts":
 			wl, err := uts.NewWorkload(uts.Small)
@@ -534,6 +570,19 @@ func runWorker(rank, n int, wcfg wireFlags, depth int, proto pool.Protocol, work
 		}
 		if err := seed(p); err != nil {
 			return err
+		}
+		if kcfg.rank == rank {
+			go killSelfAfter(p, kcfg.afterTasks)
+		}
+		if ccfg.drainRank == rank {
+			go func() {
+				waitExecuted(p, ccfg.drainAfterTasks)
+				if err := w.Live().BeginDrain(rank); err != nil {
+					fmt.Fprintf(os.Stderr, "rank %d: drain after %d tasks refused: %v\n", rank, ccfg.drainAfterTasks, err)
+					return
+				}
+				fmt.Printf("rank %d: draining out of the world after %d tasks\n", rank, ccfg.drainAfterTasks)
+			}()
 		}
 		start := time.Now()
 		if err := p.Run(); err != nil {
@@ -603,7 +652,7 @@ func runWorker(rank, n int, wcfg wireFlags, depth int, proto pool.Protocol, work
 // directory as flight-supervisor.jsonl: same JSONL shape as the per-rank
 // journals (rank -1 marks the supervisor), one PeerState(dead) event for
 // the killed rank.
-func writeSupervisorJournal(dir string, n, rank, pid int, after time.Duration) error {
+func writeSupervisorJournal(dir string, n, rank, pid int, trigger string) error {
 	if dir == "" {
 		return nil
 	}
@@ -616,7 +665,7 @@ func writeSupervisorJournal(dir string, n, rank, pid int, after time.Duration) e
 	if err != nil {
 		return err
 	}
-	reason := fmt.Sprintf("supervisor: SIGKILLed rank %d (pid %d) after %v", rank, pid, after)
+	reason := fmt.Sprintf("supervisor: SIGKILLed rank %d (pid %d) %s", rank, pid, trigger)
 	if err := f.WriteTo(file, n, reason); err != nil {
 		file.Close()
 		return err

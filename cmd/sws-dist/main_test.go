@@ -10,9 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"strconv"
 	"sync"
-	"syscall"
 	"testing"
 	"time"
 
@@ -108,6 +106,9 @@ func TestDistSmoke(t *testing.T) {
 // run whose rank 1 is chaos-SIGKILLed must leave flight journals behind
 // — the supervisor's kill journal plus at least one survivor's ring —
 // and sws-inspect must merge them into a report naming the dead rank.
+// The kill is triggered by progress — rank 1 has executed a fixed number
+// of its roughly 2^19/4 tasks — not by a wall-clock delay, which a fast
+// host's run can outrun.
 func TestKillProducesFlightDump(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping multi-process kill test in -short mode")
@@ -125,10 +126,13 @@ func TestKillProducesFlightDump(t *testing.T) {
 		"-dead-after", "1s",
 		"-flight-dir", dumps,
 		"-kill-rank", "1",
-		"-kill-after", "1200ms")
+		"-kill-after-tasks", killAfterTasks)
 	out, err := cmd.CombinedOutput()
 	if err == nil {
-		t.Fatalf("launcher exited zero despite chaos kill (run finished before -kill-after?):\n%s", out)
+		t.Fatalf("launcher exited zero despite chaos kill:\n%s", out)
+	}
+	if !bytes.Contains(out, []byte("SIGKILL rank 1")) {
+		t.Fatalf("the progress trigger never fired:\n%s", out)
 	}
 	var exitErr *exec.ExitError
 	if !errors.As(err, &exitErr) {
@@ -164,9 +168,18 @@ func TestKillProducesFlightDump(t *testing.T) {
 	}
 }
 
-// TestDistSurvivesSIGKILL launches a 4-PE world, SIGKILLs rank 1 once it
-// has joined, and requires the launcher to come down non-zero within the
-// supervision window — with per-rank diagnostics — instead of hanging.
+// killAfterTasks is the chaos kill tests' progress trigger: rank 1 dies
+// after executing this many of its roughly 2^19/4 tasks of a depth-18
+// tree, well inside the run however fast the host.
+const killAfterTasks = "20000"
+
+// killLine is the launcher's log line for the chaos kill of rank 1.
+var killLine = regexp.MustCompile(`chaos: SIGKILL rank 1 \(pid \d+\)`)
+
+// TestDistSurvivesSIGKILL launches a 4-PE world whose rank 1 SIGKILLs
+// itself mid-run, and requires the launcher to come down non-zero within
+// the supervision window — with per-rank diagnostics — instead of
+// hanging.
 func TestDistSurvivesSIGKILL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping multi-process kill test in -short mode")
@@ -177,7 +190,8 @@ func TestDistSurvivesSIGKILL(t *testing.T) {
 		"-n", "4", "-depth", "18",
 		"-op-timeout", "500ms",
 		"-suspect-after", "300ms",
-		"-dead-after", deadAfter.String())
+		"-dead-after", deadAfter.String(),
+		"-kill-rank", "1", "-kill-after-tasks", killAfterTasks)
 	watcher := newLineWatcher()
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
@@ -189,17 +203,10 @@ func TestDistSurvivesSIGKILL(t *testing.T) {
 	}
 	go watcher.consume(stdout)
 
-	// Wait until rank 1 has completed the rendezvous (so the survivors
-	// are not wedged waiting for it to appear), then kill it mid-run.
-	m := watcher.waitFor(t, regexp.MustCompile(`^rank 1: joined world \(pid (\d+)\)$`), 30*time.Second)
-	pid, err := strconv.Atoi(m[1])
-	if err != nil {
-		t.Fatalf("bad pid %q: %v", m[1], err)
-	}
-	time.Sleep(200 * time.Millisecond) // let the run get under way
-	if err := syscall.Kill(pid, syscall.SIGKILL); err != nil {
-		t.Fatalf("killing rank 1 (pid %d): %v", pid, err)
-	}
+	// Rank 1 kills itself mid-run, once it has executed a fixed number
+	// of tasks: a progress trigger, so a fast run cannot finish before
+	// the kill lands. The launcher logs the kill as the exit arrives.
+	watcher.waitFor(t, killLine, 30*time.Second)
 	killedAt := time.Now()
 
 	// The launcher must exit non-zero on its own, within the failure
@@ -231,7 +238,9 @@ func TestDistSurvivesSIGKILL(t *testing.T) {
 
 // TestDistChurn drives elastic membership across real process
 // boundaries: a 4-PE world starts with rank 3 parked, rank 3 joins
-// mid-run, rank 1 drains out mid-run, and the gathered world total must
+// mid-run, rank 1 drains out mid-run (once it has executed a fixed
+// number of tasks, so the drain cannot miss a fast run; it may land
+// before or after the join), and the gathered world total must
 // still be the tree's exact task count — voluntary churn is loss-free,
 // so the run must finish [OK] with both transitions completed. Runs on
 // both inter-process transports.
@@ -252,7 +261,7 @@ func TestDistChurn(t *testing.T) {
 				"-n", "4", "-depth", "18",
 				"-members", "3",
 				"-join-rank", "3", "-join-after", "100ms",
-				"-drain-rank", "1", "-drain-after", "300ms")
+				"-drain-rank", "1", "-drain-after-tasks", "20000")
 			out, err := cmd.CombinedOutput()
 			if err != nil {
 				t.Fatalf("churned run failed: %v\n%s", err, out)
@@ -345,7 +354,7 @@ func TestShmExactlyOnce(t *testing.T) {
 }
 
 // TestShmSurvivesSIGKILL mirrors TestDistSurvivesSIGKILL on the shm
-// transport: SIGKILL rank 1 mid-run; the launcher must come down
+// transport: rank 1 is SIGKILLed mid-run; the launcher must come down
 // non-zero with a rank 1 diagnostic, and the segment file must still be
 // unlinked (the launcher's teardown runs on the failure path too).
 func TestShmSurvivesSIGKILL(t *testing.T) {
@@ -362,7 +371,8 @@ func TestShmSurvivesSIGKILL(t *testing.T) {
 		"-transport", "shm",
 		"-n", "4", "-depth", "18",
 		"-suspect-after", "300ms",
-		"-dead-after", deadAfter.String())
+		"-dead-after", deadAfter.String(),
+		"-kill-rank", "1", "-kill-after-tasks", killAfterTasks)
 	watcher := newLineWatcher()
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
@@ -374,15 +384,7 @@ func TestShmSurvivesSIGKILL(t *testing.T) {
 	}
 	go watcher.consume(stdout)
 
-	m := watcher.waitFor(t, regexp.MustCompile(`^rank 1: joined world \(pid (\d+)\)$`), 30*time.Second)
-	pid, err := strconv.Atoi(m[1])
-	if err != nil {
-		t.Fatalf("bad pid %q: %v", m[1], err)
-	}
-	time.Sleep(200 * time.Millisecond)
-	if err := syscall.Kill(pid, syscall.SIGKILL); err != nil {
-		t.Fatalf("killing rank 1 (pid %d): %v", pid, err)
-	}
+	watcher.waitFor(t, killLine, 30*time.Second)
 	killedAt := time.Now()
 
 	bound := 2*deadAfter + 10*time.Second + 20*time.Second

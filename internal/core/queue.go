@@ -381,6 +381,9 @@ func (q *Queue) SharedAvail() int {
 	if !v.Valid {
 		return 0
 	}
+	if v.Asteals == 0 {
+		return v.ITasks // no attempt yet: skip walking the steal plan
+	}
 	return v.ITasks - q.policy.Offset(v.ITasks, q.clampAttempts(v))
 }
 

@@ -40,6 +40,12 @@ type mailbox struct {
 
 	readCursor uint64 // owner-local
 
+	// enc and dec are slot-sized scratch for send and drain. Both run on
+	// the owner goroutine only (workers' remote spawns reach send through
+	// the owner's outbox flush); they are separate because drain's push
+	// callback may forward a task through send mid-drain.
+	enc, dec []byte
+
 	// sendTimeout bounds the wait for a free slot (a full inbox means the
 	// owner is not draining).
 	sendTimeout time.Duration
@@ -56,7 +62,10 @@ func newMailbox(ctx *shmem.Ctx, codec task.Codec, slots int, sendTimeout time.Du
 	if slots < 1 {
 		return nil, fmt.Errorf("pool: mailbox needs at least 1 slot, got %d", slots)
 	}
-	m := &mailbox{ctx: ctx, codec: codec, slots: slots, sendTimeout: sendTimeout}
+	m := &mailbox{
+		ctx: ctx, codec: codec, slots: slots, sendTimeout: sendTimeout,
+		enc: make([]byte, codec.SlotSize()), dec: make([]byte, codec.SlotSize()),
+	}
 	var err error
 	if m.writeAddr, err = ctx.Alloc(shmem.WordSize); err != nil {
 		return nil, err
@@ -80,8 +89,8 @@ func (m *mailbox) slotData(i int) shmem.Addr {
 
 // send delivers a descriptor into pe's inbox.
 func (m *mailbox) send(pe int, d task.Desc) error {
-	buf := make([]byte, m.codec.SlotSize())
-	if err := m.codec.Encode(buf, d); err != nil {
+	clear(m.enc) // the slot's bytes past the payload stay zero, as before reuse
+	if err := m.codec.Encode(m.enc, d); err != nil {
 		return err
 	}
 	seq, err := m.ctx.FetchAdd64(pe, m.writeAddr, 1)
@@ -108,7 +117,7 @@ func (m *mailbox) send(pe int, d task.Desc) error {
 		}
 		m.ctx.Relax()
 	}
-	if err := m.ctx.Put(pe, m.slotData(slot), buf); err != nil {
+	if err := m.ctx.Put(pe, m.slotData(slot), m.enc); err != nil {
 		return err
 	}
 	// The ready store is the release edge the owner's drain acquires.
@@ -129,11 +138,10 @@ func (m *mailbox) drain(push func(task.Desc) error) (int, error) {
 		if st != slotReady(lap) {
 			return delivered, nil
 		}
-		buf := make([]byte, m.codec.SlotSize())
-		if err := m.ctx.Get(me, m.slotData(slot), buf); err != nil {
+		if err := m.ctx.Get(me, m.slotData(slot), m.dec); err != nil {
 			return delivered, err
 		}
-		d, err := m.codec.Decode(buf)
+		d, err := m.codec.Decode(m.dec) // copies the payload out of dec
 		if err != nil {
 			return delivered, fmt.Errorf("pool: corrupt inbox slot %d: %w", slot, err)
 		}

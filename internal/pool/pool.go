@@ -333,27 +333,32 @@ type guardedQueue struct {
 }
 
 func (q *guardedQueue) Push(d task.Desc) error {
-	defer q.g.Enter("Push")()
+	q.g.Enter(wsq.OwnerPush)
+	defer q.g.Exit()
 	return q.Queue.Push(d)
 }
 
 func (q *guardedQueue) Pop() (task.Desc, bool, error) {
-	defer q.g.Enter("Pop")()
+	q.g.Enter(wsq.OwnerPop)
+	defer q.g.Exit()
 	return q.Queue.Pop()
 }
 
 func (q *guardedQueue) Release() (int, error) {
-	defer q.g.Enter("Release")()
+	q.g.Enter(wsq.OwnerRelease)
+	defer q.g.Exit()
 	return q.Queue.Release()
 }
 
 func (q *guardedQueue) Acquire() (int, error) {
-	defer q.g.Enter("Acquire")()
+	q.g.Enter(wsq.OwnerAcquire)
+	defer q.g.Exit()
 	return q.Queue.Acquire()
 }
 
 func (q *guardedQueue) Progress() error {
-	defer q.g.Enter("Progress")()
+	q.g.Enter(wsq.OwnerProgress)
+	defer q.g.Exit()
 	return q.Queue.Progress()
 }
 
@@ -611,7 +616,7 @@ func (p *Pool) execute(d task.Desc) error {
 	if err != nil {
 		return err
 	}
-	t0 := time.Now()
+	t0 := ptimer.Now()
 	if err := fn(&p.tc, d.Payload); err != nil {
 		return fmt.Errorf("pool: task %d failed: %w", d.Handle, err)
 	}
@@ -672,6 +677,16 @@ func (p *Pool) Stats() stats.PE {
 		st.Lat["shmem/"+k] = v
 	}
 	return st
+}
+
+// TasksExecutedLive returns the tasks this PE has executed so far. It
+// reads the live metrics mirror, so it is safe to call while the pool
+// runs; it stays 0 unless Config.Metrics is set.
+func (p *Pool) TasksExecutedLive() uint64 {
+	if p.live == nil {
+		return 0
+	}
+	return p.live.tasksExecuted.Load()
 }
 
 // Elapsed returns this PE's wall time inside the most recent job

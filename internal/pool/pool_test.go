@@ -3,15 +3,19 @@ package pool
 import (
 	"bytes"
 	"fmt"
+	"math/rand/v2"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"sws/internal/core"
 	"sws/internal/obs"
+	"sws/internal/sdc"
 	"sws/internal/shmem"
 	"sws/internal/task"
 	"sws/internal/trace"
+	"sws/internal/wsq"
 )
 
 func runWorld(t *testing.T, npes int, kind shmem.TransportKind, body func(*shmem.Ctx) error) {
@@ -405,8 +409,15 @@ func TestStatsBalance(t *testing.T) {
 
 // Tracing must capture the scheduling story of a run: executions on every
 // PE, successful steals, releases, and termination.
+//
+// The rings overwrite their oldest events, and an idle PE records about
+// five events per failed steal attempt (span start and end, its remote
+// ops, the outcome) for as long as termination waits on a descheduled
+// peer. On a loaded host that tail can run to thousands of events per
+// PE and evict the whole work phase, so each ring holds 64k events: the
+// assertions are about what is recorded, not about how long it is kept.
 func TestTracing(t *testing.T) {
-	tr, err := trace.NewSet(3, 4096)
+	tr, err := trace.NewSet(3, 1<<16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,5 +584,109 @@ func TestNoOpLatencyDisables(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReleaseAcquireGates pins the scheduler's clock pre-checks to the
+// protocols' own conditions: on every queue the pool can build, a
+// Release or Acquire that moves work must have found releaseMayMove or
+// acquireMayMove true on entry. PE 0 drives a random owner-op stream;
+// PE 1 steals from it between barriers, so the shared portion passes
+// through claimed, drained and re-released states without any race.
+func TestReleaseAcquireGates(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		make func(*shmem.Ctx) (wsq.Queue, error)
+	}{
+		{"sws", func(c *shmem.Ctx) (wsq.Queue, error) {
+			return core.NewQueue(c, core.Options{Capacity: 64, Epochs: true, Damping: true})
+		}},
+		{"sws-noepochs", func(c *shmem.Ctx) (wsq.Queue, error) {
+			return core.NewQueue(c, core.Options{Capacity: 64})
+		}},
+		{"sws-growable", func(c *shmem.Ctx) (wsq.Queue, error) {
+			return core.NewQueue(c, core.Options{Capacity: 16, Epochs: true, Damping: true, Growable: true, MaxGrowth: 2})
+		}},
+		{"sdc", func(c *shmem.Ctx) (wsq.Queue, error) {
+			return sdc.NewQueue(c, sdc.Options{Capacity: 64})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var released, acquired int
+			runWorld(t, 2, shmem.TransportLocal, func(c *shmem.Ctx) error {
+				q, err := tc.make(c)
+				if err != nil {
+					return err
+				}
+				rng := rand.New(rand.NewPCG(7, 11))
+				for step := 0; step < 4000; step++ {
+					if c.Rank() == 0 {
+						if err := gateStep(q, rng, &released, &acquired); err != nil {
+							return fmt.Errorf("step %d: %w", step, err)
+						}
+					}
+					if err := c.Barrier(); err != nil {
+						return err
+					}
+					if c.Rank() == 1 && step%3 == 0 {
+						if _, _, err := q.Steal(0); err != nil {
+							return err
+						}
+					}
+					if err := c.Barrier(); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if released == 0 || acquired == 0 {
+				t.Fatalf("op stream never exercised both gates: %d releases, %d acquires moved work", released, acquired)
+			}
+		})
+	}
+}
+
+// gateStep runs one random owner op on q, checking the pre-checks
+// whenever a Release or Acquire moves work.
+func gateStep(q wsq.Queue, rng *rand.Rand, released, acquired *int) error {
+	switch r := rng.IntN(20); {
+	case r < 8:
+		if q.LocalCount() < 12 {
+			return q.Push(task.Desc{Handle: 1})
+		}
+		_, _, err := q.Pop()
+		return err
+	case r < 13:
+		_, _, err := q.Pop()
+		return err
+	case r < 16:
+		may := releaseMayMove(q)
+		n, err := q.Release()
+		if err == nil && n > 0 {
+			*released++
+			if !may {
+				return fmt.Errorf("Release moved %d tasks but releaseMayMove was false", n)
+			}
+		}
+		return err
+	case r < 18:
+		// Acquire moves work only once the local portion is empty, as
+		// the scheduler calls it: drain first.
+		for q.LocalCount() > 0 {
+			if _, _, err := q.Pop(); err != nil {
+				return err
+			}
+		}
+		may := acquireMayMove(q)
+		n, err := q.Acquire()
+		if err == nil && n > 0 {
+			*acquired++
+			if !may {
+				return fmt.Errorf("Acquire moved %d tasks but acquireMayMove was false", n)
+			}
+		}
+		return err
+	default:
+		return q.Progress()
 	}
 }

@@ -13,9 +13,11 @@ import (
 	"fmt"
 	"time"
 
+	"sws/internal/ptimer"
 	"sws/internal/shmem"
 	"sws/internal/stats"
 	"sws/internal/trace"
+	"sws/internal/wsq"
 )
 
 // JobResult summarizes one job's execution on this PE.
@@ -167,16 +169,40 @@ func (p *Pool) runSingle() error {
 	}
 }
 
+// releaseMayMove is the owner-side precondition of every protocol's
+// Release: at least two local tasks and no unclaimed shared ones. A
+// Release that moves work found it true on entry; the converse need not
+// hold (an SWS release also waits for the next parity to drain).
+// TestReleaseAcquireGates pins this to both protocols' queues.
+func releaseMayMove(q wsq.Queue) bool {
+	return q.LocalCount() >= 2 && q.SharedAvail() == 0
+}
+
+// acquireMayMove is the owner-side precondition of an Acquire that moves
+// work: unclaimed shared tasks remain.
+func acquireMayMove(q wsq.Queue) bool { return q.SharedAvail() > 0 }
+
 // stepRelease exposes work to thieves when the shared portion has run dry
 // (§3.1: release is invoked when the runtime discovers the imbalance).
+// Release runs on every iteration (an elastic queue does its maintenance
+// there), but the clock is read only when releaseMayMove says it can move
+// work. The pre-check costs one extra own-heap Load64 on busy iterations,
+// and it races thieves: one that claims the last shared task between the
+// pre-check and Release lets Release move work untimed. The release
+// latency histogram's count can therefore trail the releases counter.
 func (p *Pool) stepRelease() error {
-	t0 := time.Now()
+	var t0 ptimer.Tick
+	if releaseMayMove(p.q) {
+		t0 = ptimer.Now()
+	}
 	released, err := p.q.Release()
 	if err != nil {
 		return err
 	}
 	if released > 0 {
-		p.lat.release.Record(p.cal.Since(t0))
+		if t0 != 0 {
+			p.lat.release.Record(p.cal.Since(t0))
+		}
 		p.st.Releases++
 		p.tr.Record(trace.Release, 0, int64(released))
 		p.recordEpochFlip(int64(released))
@@ -260,14 +286,21 @@ func (p *Pool) stepExecuteLocal() (bool, error) {
 }
 
 // stepAcquire pulls shared work back once the local portion is empty,
-// reporting whether anything moved.
+// reporting whether anything moved. Like stepRelease it reads the clock
+// only when acquireMayMove says it can move work, so the acquire latency
+// histogram's count can trail the acquires counter.
 func (p *Pool) stepAcquire() (bool, error) {
-	t0 := time.Now()
+	var t0 ptimer.Tick
+	if acquireMayMove(p.q) {
+		t0 = ptimer.Now()
+	}
 	moved, err := p.q.Acquire()
 	if err != nil || moved == 0 {
 		return false, err
 	}
-	p.lat.acquire.Record(p.cal.Since(t0))
+	if t0 != 0 {
+		p.lat.acquire.Record(p.cal.Since(t0))
+	}
 	p.st.Acquires++
 	p.tr.Record(trace.Acquire, 0, int64(moved))
 	p.recordEpochFlip(int64(moved))

@@ -8,8 +8,8 @@ import (
 	"errors"
 	"math/rand/v2"
 	"sort"
-	"time"
 
+	"sws/internal/ptimer"
 	"sws/internal/shmem"
 	"sws/internal/trace"
 	"sws/internal/wsq"
@@ -287,7 +287,7 @@ func (p *Pool) search() (bool, error) {
 			}
 			continue
 		}
-		t0 := time.Now()
+		t0 := ptimer.Now()
 		tasks, out, err := p.q.Steal(v)
 		el := p.cal.Since(t0)
 		if err != nil {

@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"sws/internal/ldeque"
+	"sws/internal/ptimer"
 	"sws/internal/stats"
 	"sws/internal/task"
 	"sws/internal/trace"
@@ -202,7 +203,7 @@ func (p *Pool) executeWorker(ws *workerState, d task.Desc) error {
 	if err != nil {
 		return err
 	}
-	t0 := time.Now()
+	t0 := ptimer.Now()
 	if err := fn(&ws.tc, d.Payload); err != nil {
 		return fmt.Errorf("pool: task %d failed: %w", d.Handle, err)
 	}

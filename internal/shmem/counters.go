@@ -83,9 +83,11 @@ func Ops() []Op {
 //
 // Alongside the counts, Counters holds per-op latency histograms keyed by
 // Op and local-vs-remote target (§5.3 of the paper attributes time, not
-// just counts, to the steal protocol's communications). Recording is a
-// single atomic bucket increment — no mutex on the hot path — so the
-// histograms are safe to scrape live while the PE runs.
+// just counts, to the steal protocol's communications). Remote ops are
+// timed on every call; own-heap ops on one call in localSampleEvery
+// (sampleLocal). Recording is a single atomic bucket increment — no
+// mutex on the hot path — so the histograms are safe to scrape live
+// while the PE runs.
 type Counters struct {
 	ops      [numOps]atomic.Uint64
 	bytesPut atomic.Uint64
@@ -98,14 +100,10 @@ type Counters struct {
 // latTargets names the two latency keys; index matches the lat array.
 var latTargets = [2]string{"local", "remote"}
 
-// recordLat adds one latency sample for op against a local or remote
-// target.
-func (c *Counters) recordLat(op Op, remote bool, d time.Duration) {
-	i := 0
-	if remote {
-		i = 1
-	}
-	c.lat[op][i].Record(d)
+// recordRemoteLat adds one latency sample for op against a remote
+// target. Own-heap ops record through recordLocalSample instead.
+func (c *Counters) recordRemoteLat(op Op, d time.Duration) {
+	c.lat[op][1].Record(d)
 }
 
 // Latency returns the current latency distribution for one op/target.
@@ -143,7 +141,30 @@ func (c *Counters) countRemote(op Op, payload int) {
 	}
 }
 
-func (c *Counters) countLocal() { c.local.Add(1) }
+// Own-heap ops are timed on one op in localSampleEvery: the ops are
+// numbered by the Counters' local count and split into blocks of
+// localSampleEvery, and one op per block is timed and recorded with
+// weight localSampleEvery. The timed op sits at a pseudo-random offset
+// within its block (a Fibonacci hash of the block number), so an op
+// stream whose period divides the block — the scheduler's few owner ops
+// per task — cannot alias every sample onto one op kind.
+const (
+	localSampleShift = 6
+	localSampleEvery = 1 << localSampleShift
+)
+
+// sampleLocal counts one own-heap op and reports whether it is its
+// block's timed sample. One atomic add, as counting alone costs.
+func (c *Counters) sampleLocal() bool {
+	i := c.local.Add(1) - 1 // this op's 0-based number
+	return i%localSampleEvery == (i/localSampleEvery*0x9E3779B97F4A7C15)>>(64-localSampleShift)
+}
+
+// recordLocalSample records a sampled own-heap op's latency on behalf of
+// the localSampleEvery ops of its block.
+func (c *Counters) recordLocalSample(op Op, d time.Duration) {
+	c.lat[op][0].RecordN(d, localSampleEvery)
+}
 
 // CounterSnapshot is an immutable copy of a Counters at a point in time.
 type CounterSnapshot struct {

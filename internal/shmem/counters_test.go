@@ -43,7 +43,7 @@ func TestSnapshotArithmetic(t *testing.T) {
 	before := c.Snapshot()
 	c.countRemote(OpGet, 50)
 	c.countRemote(OpStoreNBI, 0)
-	c.countLocal()
+	c.sampleLocal()
 	d := c.Snapshot().Sub(before)
 	if d.Of(OpGet) != 1 || d.Of(OpStoreNBI) != 1 || d.BytesGot != 50 || d.Local != 1 {
 		t.Errorf("diff wrong: %+v", d)

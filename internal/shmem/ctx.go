@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sws/internal/ptimer"
 	"sws/internal/trace"
 )
 
@@ -92,25 +93,24 @@ func (c *Ctx) EnableMultiWorker() error {
 	return nil
 }
 
-// latStart begins timing one operation (zero time when recording is off).
-func (c *Ctx) latStart() time.Time {
+// latStart begins timing one remote operation (the zero Tick when
+// recording is off).
+func (c *Ctx) latStart() ptimer.Tick {
 	if !c.rec {
-		return time.Time{}
+		return 0
 	}
-	return time.Now()
+	return ptimer.Now()
 }
 
-// latEnd records one operation's latency sample, and — for remote ops
-// with a trace attached — a comm-op timeline event.
-func (c *Ctx) latEnd(op Op, remote bool, t0 time.Time) {
+// latEnd records one remote operation's latency sample and, with a trace
+// attached, a comm-op timeline event.
+func (c *Ctx) latEnd(op Op, t0 ptimer.Tick) {
 	if !c.rec {
 		return
 	}
-	d := time.Since(t0)
-	c.counters.recordLat(op, remote, d)
-	if remote {
-		c.tr.Record(trace.CommOp, int64(op), int64(d))
-	}
+	d := ptimer.Since(t0)
+	c.counters.recordRemoteLat(op, d)
+	c.tr.Record(trace.CommOp, int64(op), int64(d))
 }
 
 // latEndSpan is latEnd for a span-tagged remote operation: besides the
@@ -118,22 +118,41 @@ func (c *Ctx) latEnd(op Op, remote bool, t0 time.Time) {
 // journal so the initiator side of a steal survives to a post-mortem
 // dump. The trace event carries the span so Perfetto groups the steal's
 // sub-ops.
-func (c *Ctx) latEndSpan(op Op, t0 time.Time, span uint64) {
+func (c *Ctx) latEndSpan(op Op, t0 ptimer.Tick, span uint64) {
 	if span == 0 {
-		c.latEnd(op, true, t0)
+		c.latEnd(op, t0)
 		return
 	}
 	// One clock read serves both the latency sample and the journal
 	// timestamp; the flight ring converts it without reading again.
 	var d time.Duration
-	var end time.Time
+	var end ptimer.Tick
 	if c.rec {
-		end = time.Now()
+		end = ptimer.Now()
 		d = end.Sub(t0)
-		c.counters.recordLat(op, true, d)
+		c.counters.recordRemoteLat(op, d)
 	}
 	c.tr.RecordSpan(trace.CommOp, int64(op), int64(d), span)
-	c.w.flight.PE(c.rank).RecordTime(end, trace.CommOp, int64(op), int64(d), span)
+	c.w.flight.PE(c.rank).RecordTick(end, trace.CommOp, int64(op), int64(d), span)
+}
+
+// localStart counts one own-heap operation and, if the count makes it
+// its block's sample (Counters.sampleLocal), starts timing it. It
+// returns the zero Tick for the untimed rest: an own-heap op is a plain
+// memory access, cheaper than the two clock reads that would time it.
+func (c *Ctx) localStart() ptimer.Tick {
+	if sampled := c.counters.sampleLocal(); !sampled || !c.rec {
+		return 0
+	}
+	return ptimer.Now()
+}
+
+// localEnd records a sampled own-heap operation's latency on behalf of
+// its whole block; untimed ops (zero t0) record nothing.
+func (c *Ctx) localEnd(op Op, t0 ptimer.Tick) {
+	if t0 != 0 {
+		c.counters.recordLocalSample(op, ptimer.Since(t0))
+	}
 }
 
 // RecordSpanEvent records a span lifecycle event (start/end) into both
@@ -342,10 +361,9 @@ func (c *Ctx) Put(pe int, addr Addr, src []byte) error {
 		if err := c.self.checkRange(addr, len(src)); err != nil {
 			return err
 		}
-		c.counters.countLocal()
-		t0 := c.latStart()
+		t0 := c.localStart()
 		c.self.copyIn(addr, src)
-		c.latEnd(OpPut, false, t0)
+		c.localEnd(OpPut, t0)
 		return nil
 	}
 	if err := c.peerCheck(OpPut, pe); err != nil {
@@ -354,7 +372,7 @@ func (c *Ctx) Put(pe int, addr Addr, src []byte) error {
 	c.counters.countRemote(OpPut, len(src))
 	t0 := c.latStart()
 	err := c.w.transport.put(c.rank, pe, addr, src, 0)
-	c.latEnd(OpPut, true, t0)
+	c.latEnd(OpPut, t0)
 	return err
 }
 
@@ -366,10 +384,9 @@ func (c *Ctx) get(pe int, addr Addr, dst []byte, span uint64) error {
 		if err := c.self.checkRange(addr, len(dst)); err != nil {
 			return err
 		}
-		c.counters.countLocal()
-		t0 := c.latStart()
+		t0 := c.localStart()
 		c.self.copyOut(addr, dst)
-		c.latEnd(OpGet, false, t0)
+		c.localEnd(OpGet, t0)
 		return nil
 	}
 	if err := c.peerCheck(OpGet, pe); err != nil {
@@ -406,14 +423,13 @@ func (c *Ctx) getV(pe int, spans []Span, dst []byte, span uint64) error {
 				return err
 			}
 		}
-		c.counters.countLocal()
-		t0 := c.latStart()
+		t0 := c.localStart()
 		off := 0
 		for _, sp := range spans {
 			c.self.copyOut(sp.Addr, dst[off:off+sp.N])
 			off += sp.N
 		}
-		c.latEnd(OpGetV, false, t0)
+		c.localEnd(OpGetV, t0)
 		return nil
 	}
 	if err := c.peerCheck(OpGetV, pe); err != nil {
@@ -438,10 +454,9 @@ func (c *Ctx) fetchAdd64(pe int, addr Addr, delta uint64, span uint64) (uint64, 
 		if err != nil {
 			return 0, err
 		}
-		c.counters.countLocal()
-		t0 := c.latStart()
+		t0 := c.localStart()
 		v := atomic.AddUint64(c.self.word(i), delta) - delta
-		c.latEnd(OpFetchAdd, false, t0)
+		c.localEnd(OpFetchAdd, t0)
 		return v, nil
 	}
 	if err := c.peerCheck(OpFetchAdd, pe); err != nil {
@@ -462,10 +477,9 @@ func (c *Ctx) Swap64(pe int, addr Addr, val uint64) (uint64, error) {
 		if err != nil {
 			return 0, err
 		}
-		c.counters.countLocal()
-		t0 := c.latStart()
+		t0 := c.localStart()
 		v := atomic.SwapUint64(c.self.word(i), val)
-		c.latEnd(OpSwap, false, t0)
+		c.localEnd(OpSwap, t0)
 		return v, nil
 	}
 	if err := c.peerCheck(OpSwap, pe); err != nil {
@@ -474,7 +488,7 @@ func (c *Ctx) Swap64(pe int, addr Addr, val uint64) (uint64, error) {
 	c.counters.countRemote(OpSwap, 0)
 	t0 := c.latStart()
 	v, err := c.w.transport.swap64(c.rank, pe, addr, val, 0)
-	c.latEnd(OpSwap, true, t0)
+	c.latEnd(OpSwap, t0)
 	return v, err
 }
 
@@ -486,16 +500,15 @@ func (c *Ctx) CompareSwap64(pe int, addr Addr, old, new uint64) (uint64, error) 
 		if err != nil {
 			return 0, err
 		}
-		c.counters.countLocal()
-		t0 := c.latStart()
+		t0 := c.localStart()
 		for {
 			cur := atomic.LoadUint64(c.self.word(i))
 			if cur != old {
-				c.latEnd(OpCompareSwap, false, t0)
+				c.localEnd(OpCompareSwap, t0)
 				return cur, nil
 			}
 			if atomic.CompareAndSwapUint64(c.self.word(i), old, new) {
-				c.latEnd(OpCompareSwap, false, t0)
+				c.localEnd(OpCompareSwap, t0)
 				return old, nil
 			}
 		}
@@ -506,7 +519,7 @@ func (c *Ctx) CompareSwap64(pe int, addr Addr, old, new uint64) (uint64, error) 
 	c.counters.countRemote(OpCompareSwap, 0)
 	t0 := c.latStart()
 	v, err := c.w.transport.compareSwap64(c.rank, pe, addr, old, new, 0)
-	c.latEnd(OpCompareSwap, true, t0)
+	c.latEnd(OpCompareSwap, t0)
 	return v, err
 }
 
@@ -519,10 +532,9 @@ func (c *Ctx) load64(pe int, addr Addr, span uint64) (uint64, error) {
 		if err != nil {
 			return 0, err
 		}
-		c.counters.countLocal()
-		t0 := c.latStart()
+		t0 := c.localStart()
 		v := atomic.LoadUint64(c.self.word(i))
-		c.latEnd(OpLoad, false, t0)
+		c.localEnd(OpLoad, t0)
 		return v, nil
 	}
 	if err := c.peerCheck(OpLoad, pe); err != nil {
@@ -543,10 +555,9 @@ func (c *Ctx) Store64(pe int, addr Addr, val uint64) error {
 		if err != nil {
 			return err
 		}
-		c.counters.countLocal()
-		t0 := c.latStart()
+		t0 := c.localStart()
 		atomic.StoreUint64(c.self.word(i), val)
-		c.latEnd(OpStore, false, t0)
+		c.localEnd(OpStore, t0)
 		return nil
 	}
 	if err := c.peerCheck(OpStore, pe); err != nil {
@@ -555,7 +566,7 @@ func (c *Ctx) Store64(pe int, addr Addr, val uint64) error {
 	c.counters.countRemote(OpStore, 0)
 	t0 := c.latStart()
 	err := c.w.transport.store64(c.rank, pe, addr, val, 0)
-	c.latEnd(OpStore, true, t0)
+	c.latEnd(OpStore, t0)
 	return err
 }
 

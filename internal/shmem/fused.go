@@ -84,11 +84,10 @@ func (c *Ctx) fetchAddGet(pe int, addr Addr, delta uint64, id uint64, span uint6
 		if err != nil {
 			return 0, nil, err
 		}
-		c.counters.countLocal()
-		t0 := c.latStart()
+		t0 := c.localStart()
 		old := atomic.AddUint64(c.self.word(i), delta) - delta
 		data, err := c.w.applyFused(c.self, old, id)
-		c.latEnd(OpFetchAddGet, false, t0)
+		c.localEnd(OpFetchAddGet, t0)
 		return old, data, err
 	}
 	if err := c.peerCheck(OpFetchAddGet, pe); err != nil {

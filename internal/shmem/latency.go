@@ -3,6 +3,8 @@ package shmem
 import (
 	"runtime"
 	"time"
+
+	"sws/internal/ptimer"
 )
 
 // LatencyModel charges synthetic communication costs to one-sided
@@ -51,11 +53,11 @@ func (m LatencyModel) blockingCost(n int) time.Duration {
 }
 
 // charge waits out d under the model's occupancy mode. It returns the
-// clock value its wait loop last read — a timestamp the caller gets for
-// free, used by the flight recorder to stamp the op's apply without a
-// second clock read. A zero return means no wait happened (or the wait
-// slept), so the caller must read the clock itself if it needs one.
-func (m LatencyModel) charge(d time.Duration) time.Time {
+// tick its wait loop last read — a timestamp the caller gets for free,
+// used by the flight recorder to stamp the op's apply without a second
+// clock read. A zero tick means no wait happened (or the wait slept), so
+// the caller must read the clock itself if it needs one.
+func (m LatencyModel) charge(d time.Duration) ptimer.Tick {
 	if m.Occupy {
 		return occupy(d)
 	}
@@ -64,13 +66,13 @@ func (m LatencyModel) charge(d time.Duration) time.Time {
 
 // occupy burns the processor for d without yielding (modulo Go's own
 // asynchronous preemption).
-func occupy(d time.Duration) time.Time {
+func occupy(d time.Duration) ptimer.Tick {
 	if d <= 0 {
-		return time.Time{}
+		return 0
 	}
-	start := time.Now()
+	start := ptimer.Now()
 	for {
-		now := time.Now()
+		now := ptimer.Now()
 		if now.Sub(start) >= d {
 			return now
 		}
@@ -91,18 +93,18 @@ func (m LatencyModel) bandwidth(n int) time.Duration {
 // blocked, not computing, and on hosts with fewer cores than PEs the
 // yield is what lets the other PEs use the core in the meantime (this is
 // how an oversubscribed world emulates dedicated cores).
-func charge(d time.Duration) time.Time {
+func charge(d time.Duration) ptimer.Tick {
 	if d <= 0 {
-		return time.Time{}
+		return 0
 	}
 	if d >= 200*time.Microsecond {
 		// Long enough for the scheduler to be accurate and courteous.
 		time.Sleep(d)
-		return time.Time{}
+		return 0
 	}
-	start := time.Now()
+	start := ptimer.Now()
 	for {
-		now := time.Now()
+		now := ptimer.Now()
 		if now.Sub(start) >= d {
 			return now
 		}

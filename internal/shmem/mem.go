@@ -133,7 +133,7 @@ func (t *memTransport) do(from, to int, o *heapOp, span uint64) (uint64, []byte,
 	}
 	if o.op == OpFetchAddGet {
 		// The same round trip carries the handler-selected payload back.
-		if end := lat.charge(lat.bandwidth(len(data))); !end.IsZero() {
+		if end := lat.charge(lat.bandwidth(len(data))); end != 0 {
 			at = end
 		}
 	}
@@ -182,7 +182,7 @@ func (t *memTransport) deliver(pe *peState, from int, o *heapOp, dup bool, span 
 		pe.apply(t.w, o, nil)
 	}
 	t.wake(pe, o)
-	t.w.flightVictim(time.Time{}, o.op, from, pe.rank, span)
+	t.w.flightVictim(0, o.op, from, pe.rank, span)
 }
 
 // wake unparks waiters parked on pe's heap after a mutating op; without

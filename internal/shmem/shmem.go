@@ -43,6 +43,7 @@ import (
 	"time"
 	"unsafe"
 
+	"sws/internal/ptimer"
 	"sws/internal/trace"
 )
 
@@ -351,11 +352,11 @@ func (w *World) Flight() *trace.FlightSet { return w.flight }
 // their apply points so both halves of a steal land under one span. A
 // non-zero at (typically the latency wait's exit clock read) stamps the
 // event without another clock read; zero means "read the clock now".
-func (w *World) flightVictim(at time.Time, op Op, from, to int, span uint64) {
+func (w *World) flightVictim(at ptimer.Tick, op Op, from, to int, span uint64) {
 	if span == 0 {
 		return
 	}
-	w.flight.PE(to).RecordTime(at, trace.VictimOp, int64(op), int64(from), span)
+	w.flight.PE(to).RecordTick(at, trace.VictimOp, int64(op), int64(from), span)
 }
 
 // flightState journals a failure-detector transition (peer -> new state)

@@ -785,7 +785,7 @@ func (t *simTransport) deliver() {
 			t.failWorld(err.Error())
 			return
 		}
-		t.w.flightVictim(time.Time{}, ev.op, ev.from, ev.to, ev.span)
+		t.w.flightVictim(0, ev.op, ev.from, ev.to, ev.span)
 		t.logf("%d %d dlv %v %d->%d a=%#x v=%d\n", t.nextSeq(), t.now, ev.op, ev.from, ev.to, uint64(ev.addr), ev.val)
 	}
 	if ev.pendingDec {
@@ -901,7 +901,7 @@ func (t *simTransport) wake(rank int) {
 			} else {
 				rep = t.applyOp(pe.req)
 				if rep.err == nil {
-					t.w.flightVictim(time.Time{}, pe.req.op, rank, pe.req.to, pe.req.span)
+					t.w.flightVictim(0, pe.req.op, rank, pe.req.to, pe.req.span)
 				}
 				t.logf("%d %d op %v %d->%d a=%#x v=%d -> %d\n",
 					t.nextSeq(), t.now, pe.req.op, rank, pe.req.to, uint64(pe.req.addr), pe.req.v1, rep.val)

@@ -324,7 +324,7 @@ func (t *tcpTransport) handle(rank int, conn net.Conn) {
 			if op == OpFetchAddGet && rp != nil {
 				rspBuf = rp // keep any growth for the next op
 			}
-			t.w.flightVictim(time.Time{}, op, from, rank, span)
+			t.w.flightVictim(0, op, from, rank, span)
 		}
 		if kind == connSync {
 			if err := writeResponse(w, rspHdr[:], status, rv, rp); err != nil {

@@ -10,6 +10,8 @@ import (
 	"sort"
 	"sync/atomic"
 	"time"
+
+	"sws/internal/ptimer"
 )
 
 // Flight is one PE's always-on flight-recorder ring: a bounded,
@@ -27,10 +29,10 @@ import (
 // slot corrupts one line, not the journal.
 type Flight struct {
 	pe     int
-	epoch  time.Time // monotonic base for Event.At
-	wall   int64     // epoch as wall-clock UnixNano, for cross-process alignment
-	events []Event   // length is a power of two, so slot index is a mask
-	mask   uint64    // len(events) - 1
+	epoch  ptimer.Tick // monotonic base for Event.At
+	wall   int64       // epoch as wall-clock UnixNano, for cross-process alignment
+	events []Event     // length is a power of two, so slot index is a mask
+	mask   uint64      // len(events) - 1
 	n      atomic.Uint64
 }
 
@@ -40,19 +42,18 @@ func (f *Flight) Record(k Kind, a, b int64, span uint64) {
 	if f == nil || len(f.events) == 0 {
 		return
 	}
-	f.RecordAt(time.Since(f.epoch), k, a, b, span)
+	f.RecordAt(ptimer.Since(f.epoch), k, a, b, span)
 }
 
-// RecordTime records with an absolute timestamp the caller already
-// holds (e.g. the end of an op-latency measurement), avoiding a second
-// clock read on the hot path. A zero t reads the clock like Record.
-func (f *Flight) RecordTime(t time.Time, k Kind, a, b int64, span uint64) {
+// RecordTick records with a tick the caller already holds (e.g. the end
+// of an op-latency measurement), avoiding a second clock read on the hot
+// path. A zero tick reads the clock like Record.
+func (f *Flight) RecordTick(t ptimer.Tick, k Kind, a, b int64, span uint64) {
 	if f == nil || len(f.events) == 0 {
 		return
 	}
-	if t.IsZero() {
-		f.RecordAt(time.Since(f.epoch), k, a, b, span)
-		return
+	if t == 0 {
+		t = ptimer.Now()
 	}
 	f.RecordAt(t.Sub(f.epoch), k, a, b, span)
 }
@@ -132,7 +133,7 @@ func NewFlight(pe, capacity int) *Flight {
 	capacity = ceilPow2(capacity)
 	epoch := time.Now()
 	return &Flight{
-		pe: pe, epoch: epoch, wall: epoch.UnixNano(),
+		pe: pe, epoch: ptimer.TickOf(epoch), wall: epoch.UnixNano(),
 		events: make([]Event, capacity), mask: uint64(capacity - 1),
 	}
 }
@@ -153,11 +154,11 @@ func NewFlightSet(pes, capacity int) *FlightSet {
 	}
 	capacity = ceilPow2(capacity)
 	epoch := time.Now()
-	wall := epoch.UnixNano()
+	tick, wall := ptimer.TickOf(epoch), epoch.UnixNano()
 	s := &FlightSet{rings: make([]*Flight, pes)}
 	for i := range s.rings {
 		s.rings[i] = &Flight{
-			pe: i, epoch: epoch, wall: wall,
+			pe: i, epoch: tick, wall: wall,
 			events: make([]Event, capacity), mask: uint64(capacity - 1),
 		}
 	}

@@ -105,33 +105,68 @@ type Elastic interface {
 	SpillDepth() int
 }
 
+// OwnerOp names an owner method for OwnerGuard. The names are static, so
+// entering the guard allocates nothing.
+type OwnerOp uint32
+
+const (
+	OwnerPush OwnerOp = iota + 1
+	OwnerPop
+	OwnerRelease
+	OwnerAcquire
+	OwnerProgress
+)
+
+var ownerOpNames = [...]string{
+	OwnerPush:     "Push",
+	OwnerPop:      "Pop",
+	OwnerRelease:  "Release",
+	OwnerAcquire:  "Acquire",
+	OwnerProgress: "Progress",
+}
+
+func (o OwnerOp) String() string {
+	if o > 0 && int(o) < len(ownerOpNames) {
+		return ownerOpNames[o]
+	}
+	return fmt.Sprintf("OwnerOp(%d)", uint32(o))
+}
+
 // OwnerGuard detects violations of the owner-serialization contract: two
-// goroutines concurrently inside owner methods of the same queue. Wrap
-// each owner op in Enter:
+// goroutines concurrently inside owner methods of the same queue. Bracket
+// each owner op with Enter and Exit:
 //
-//	defer guard.Enter("Push")()
+//	guard.Enter(wsq.OwnerPush)
+//	defer guard.Exit()
 //
 // A violation panics with both op names — a scheduler bug, never a
 // recoverable condition, since an interleaved owner op can corrupt the
 // queue's owner-private state silently. The cost when uncontended is one
-// CAS and one store per op. The zero value is ready to use.
+// CAS and one store per op, with no allocation. The zero value is ready
+// to use.
 type OwnerGuard struct {
-	// cur is nil when no owner op is in flight; otherwise it names the op.
-	cur atomic.Pointer[string]
+	// cur is 0 when no owner op is in flight; otherwise it is the op.
+	cur atomic.Uint32
 }
 
-// Enter marks the calling goroutine as the active owner and returns the
-// function that releases the guard; it panics if another owner op is
-// already in flight.
-func (g *OwnerGuard) Enter(op string) func() {
-	if !g.cur.CompareAndSwap(nil, &op) {
-		other := "unknown"
-		if p := g.cur.Load(); p != nil {
-			other = *p
-		}
-		panic(fmt.Sprintf("wsq: owner-serialization violated: %s raced with %s (multi-worker PEs must route owner ops through the owner worker)", op, other))
+// Enter marks the calling goroutine as the active owner; it panics if
+// another owner op is already in flight.
+func (g *OwnerGuard) Enter(op OwnerOp) {
+	if !g.cur.CompareAndSwap(0, uint32(op)) {
+		g.violated(op)
 	}
-	return func() { g.cur.Store(nil) }
+}
+
+// Exit releases the guard taken by Enter.
+func (g *OwnerGuard) Exit() { g.cur.Store(0) }
+
+// violated is Enter's cold path, kept out of line so Enter inlines.
+func (g *OwnerGuard) violated(op OwnerOp) {
+	other := "unknown"
+	if cur := OwnerOp(g.cur.Load()); cur != 0 {
+		other = cur.String()
+	}
+	panic(fmt.Sprintf("wsq: owner-serialization violated: %s raced with %s (multi-worker PEs must route owner ops through the owner worker)", op, other))
 }
 
 // Policy selects the volume a steal claims from a shared block. The
